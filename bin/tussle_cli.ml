@@ -1,4 +1,5 @@
-(* The tussle command-line interface.
+(* The tussle command-line interface: the repository's only entry
+   point (bench/main.exe runs just the microbenchmarks).
 
    Subcommands:
      experiments [-e ID]   regenerate the paper's experiments
@@ -21,26 +22,95 @@ module Obs_sweep_report = Tussle_obs.Sweep_report
 module Obs_search_report = Tussle_obs.Search_report
 module Obs_json = Tussle_obs.Json
 
+(* ---------- shared flags ---------- *)
+
+(* Every numeric flag parses through one of these converters, so a bad
+   value is a cmdliner parse error that names the option and the value
+   (exit 2, see the bottom of this file) and no command re-validates
+   its flags by hand. *)
+module Conv = struct
+  let number of_string pp ~expected ok =
+    let parse s =
+      match of_string (String.trim s) with
+      | Some v when ok v -> Ok v
+      | Some _ | None ->
+        Error (Printf.sprintf "invalid value %S (expected %s)" s expected)
+    in
+    Arg.conv' (parse, pp)
+
+  let int = number int_of_string_opt Format.pp_print_int
+  let float = number float_of_string_opt Format.pp_print_float
+
+  let seed = int ~expected:"an integer" (fun _ -> true)
+
+  let at_least k =
+    int ~expected:(Printf.sprintf "an integer >= %d" k) (fun n -> n >= k)
+
+  let non_negative =
+    float ~expected:"a non-negative number" (fun x ->
+        x >= 0.0 && Float.is_finite x)
+
+  let seconds =
+    float ~expected:"a positive number of seconds" (fun t ->
+        t > 0.0 && Float.is_finite t)
+
+  let alpha =
+    float ~expected:"a number strictly between 0 and 1" (fun a ->
+        a > 0.0 && a < 1.0)
+
+  let domains =
+    Arg.conv' (Tussle_prelude.Pool.domains_of_string, Format.pp_print_int)
+end
+
+(* --domains N / --seq, as the optional domain count the runners take *)
+let domains =
+  let domains =
+    let doc =
+      "Number of worker domains (default: the recommended domain count).  \
+       Output is byte-identical for any value."
+    in
+    Arg.(value & opt (some Conv.domains) None
+         & info [ "domains" ] ~doc ~docv:"N")
+  in
+  let seq =
+    let doc = "Run strictly sequentially (same as --domains 1)." in
+    Arg.(value & flag & info [ "seq" ] ~doc)
+  in
+  Term.(const (fun domains seq -> if seq then Some 1 else domains)
+        $ domains $ seq)
+
+let timeout_s =
+  let doc =
+    "Arm the watchdog: an experiment (or a sweep replicate) still running \
+     after $(docv) seconds fails with a timeout while the rest of the run \
+     carries on.  Off by default."
+  in
+  Arg.(value & opt (some Conv.seconds) None
+       & info [ "timeout-s" ] ~doc ~docv:"SECONDS")
+
+(* Exit codes every subcommand shares; cmdliner's own parse errors are
+   mapped onto 2 at the bottom of this file. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success.";
+      info 1
+        ~doc:"on a negative outcome: a failed shape check, invariant, \
+              verdict or gate, or a denied policy request.";
+      info 2
+        ~doc:"on a usage error: an unknown option, a bad flag value, or a \
+              missing, unreadable or invalid input file.";
+      info internal_error ~doc:"on an uncaught exception.";
+    ]
+
+let cmd name ~doc term = Cmd.v (Cmd.info name ~doc ~exits) term
+
 (* ---------- experiments ---------- *)
 
 let experiments_cmd =
   let id =
     let doc = "Run a single experiment (E1..E30)." in
     Arg.(value & opt (some string) None & info [ "e"; "experiment" ] ~doc)
-  in
-  let domains =
-    (* Taken as a string so garbage is rejected with exit 2 (like
-       --domains 0) instead of cmdliner's generic CLI error. *)
-    let doc =
-      "Number of domains for the parallel experiment runner (default: the \
-       recommended domain count).  Output is byte-identical for any value."
-    in
-    Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let seq =
-    let doc = "Run strictly sequentially (same as --domains 1); pins \
-               determinism for CI." in
-    Arg.(value & flag & info [ "seq" ] ~doc)
   in
   let metrics =
     let doc = "Collect telemetry and print the metrics table after the run." in
@@ -56,113 +126,65 @@ let experiments_cmd =
                print its summary table." in
     Arg.(value & opt (some string) None & info [ "report" ] ~doc ~docv:"FILE")
   in
-  let timeout_s =
-    (* Taken as a string for the same exit-2 convention as --domains. *)
-    let doc =
-      "Arm the per-experiment watchdog: an experiment still running after \
-       $(docv) seconds becomes a FAILED (timeout) outcome while the rest \
-       of the battery carries on.  Off by default."
-    in
-    Arg.(value & opt (some string) None & info [ "timeout-s" ] ~doc ~docv:"SECONDS")
-  in
   let fault_seed =
     let doc =
       "Seed for the fault-injection substrate (experiments that inject \
        faults, e.g. E28, derive their plans from it).  Same seed, same \
        battery output, byte for byte; default 1031."
     in
-    Arg.(value & opt (some string) None & info [ "fault-seed" ] ~doc ~docv:"SEED")
+    Arg.(value & opt (some Conv.seed) None
+         & info [ "fault-seed" ] ~doc ~docv:"SEED")
   in
-  let run id domains seq metrics trace report timeout_s fault_seed =
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
-    in
-    let timeout_result =
-      match timeout_s with
-      | None -> Ok None
-      | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some t when t > 0.0 && Float.is_finite t -> Ok (Some t)
-        | Some _ | None ->
-          Error
-            (Printf.sprintf "invalid timeout %S (expected a positive number \
-                             of seconds)" s))
-    in
-    let fault_seed_result =
-      match fault_seed with
-      | None -> Ok None
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> Ok (Some n)
-        | None ->
-          Error (Printf.sprintf "invalid fault seed %S (expected an integer)" s))
-    in
-    match (domains_result, timeout_result, fault_seed_result) with
-    | Error msg, _, _ ->
-      prerr_endline ("experiments: --domains: " ^ msg);
-      2
-    | _, Error msg, _ ->
-      prerr_endline ("experiments: --timeout-s: " ^ msg);
-      2
-    | _, _, Error msg ->
-      prerr_endline ("experiments: --fault-seed: " ^ msg);
-      2
-    | Ok domains, Ok timeout_s, Ok fault_seed -> (
-      (match fault_seed with
-      | Some s -> Tussle_fault.Seed.set s
-      | None -> ());
-      if metrics || report <> None then Obs_metrics.enable ();
-      if trace <> None then Obs_trace.enable ();
-      let emit_report ~wall_s outcomes =
-        match report with
-        | None -> ()
-        | Some file ->
-          let domains =
-            match domains with
-            | Some d -> d
-            | None -> Tussle_prelude.Pool.default_domains ()
-          in
-          let r = Tussle_experiments.Registry.report ~domains ~wall_s outcomes in
-          (try Obs_report.write file r
-           with Sys_error msg ->
-             prerr_endline ("experiments: --report: " ^ msg);
-             exit 2);
-          print_newline ();
-          print_string (Obs_report.summary r)
-      in
-      let finish code =
-        (match trace with Some f -> Obs_trace.write_chrome f | None -> ());
-        if metrics then begin
-          print_newline ();
-          print_string (Obs_metrics.render (Obs_metrics.snapshot ()))
-        end;
-        code
-      in
-      match id with
-      | None ->
-        let ok, outcomes, wall_s =
-          Tussle_experiments.Registry.run_battery ?domains ?timeout_s ()
+  let run id domains metrics trace report timeout_s fault_seed =
+    Option.iter Tussle_fault.Seed.set fault_seed;
+    if metrics || report <> None then Obs_metrics.enable ();
+    if trace <> None then Obs_trace.enable ();
+    let emit_report ~wall_s outcomes =
+      match report with
+      | None -> ()
+      | Some file ->
+        let domains =
+          match domains with
+          | Some d -> d
+          | None -> Tussle_prelude.Pool.default_domains ()
         in
-        emit_report ~wall_s outcomes;
-        finish (if ok then 0 else 1)
-      | Some id -> begin
-        match Tussle_experiments.Registry.run_one ?timeout_s id with
-        | Ok o ->
-          emit_report ~wall_s:o.Tussle_experiments.Experiment.wall_s [ o ];
-          finish (if Tussle_experiments.Experiment.held o then 0 else 1)
-        | Error msg ->
-          prerr_endline msg;
-          2
-      end)
+        let r = Tussle_experiments.Registry.report ~domains ~wall_s outcomes in
+        (try Obs_report.write file r
+         with Sys_error msg ->
+           prerr_endline ("experiments: --report: " ^ msg);
+           exit 2);
+        print_newline ();
+        print_string (Obs_report.summary r)
+    in
+    let finish code =
+      (match trace with Some f -> Obs_trace.write_chrome f | None -> ());
+      if metrics then begin
+        print_newline ();
+        print_string (Obs_metrics.render (Obs_metrics.snapshot ()))
+      end;
+      code
+    in
+    match id with
+    | None ->
+      let ok, outcomes, wall_s =
+        Tussle_experiments.Registry.run_battery ?domains ?timeout_s ()
+      in
+      emit_report ~wall_s outcomes;
+      finish (if ok then 0 else 1)
+    | Some id -> begin
+      match Tussle_experiments.Registry.run_one ?timeout_s id with
+      | Ok o ->
+        emit_report ~wall_s:o.Tussle_experiments.Experiment.wall_s [ o ];
+        finish (if Tussle_experiments.Experiment.held o then 0 else 1)
+      | Error msg ->
+        prerr_endline msg;
+        2
+    end
   in
   let doc = "regenerate the paper's experiments (E1..E30)" in
-  Cmd.v (Cmd.info "experiments" ~doc)
-    Term.(const run $ id $ domains $ seq $ metrics $ trace $ report
-          $ timeout_s $ fault_seed)
+  cmd "experiments" ~doc
+    Term.(const run $ id $ domains $ metrics $ trace $ report $ timeout_s
+          $ fault_seed)
 
 (* ---------- chaos ---------- *)
 
@@ -170,22 +192,15 @@ let chaos_cmd =
   let seed =
     let doc =
       "Master seed for the chaos sweep.  Same seed, same plans, same \
-       output, byte for byte, for any --domains count; default 1031."
+       output, byte for byte, for any --domains count."
     in
-    Arg.(value & opt (some string) None & info [ "chaos-seed" ] ~doc ~docv:"SEED")
+    Arg.(value & opt Conv.seed Tussle_fault.Seed.default
+         & info [ "chaos-seed" ] ~doc ~docv:"SEED")
   in
   let runs =
-    let doc = "Number of random fault plans to run (default 200)." in
-    Arg.(value & opt (some string) None & info [ "chaos-runs" ] ~doc ~docv:"N")
-  in
-  let domains =
-    let doc = "Number of domains for the sweep (default: the recommended \
-               domain count).  Output is byte-identical for any value." in
-    Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let seq =
-    let doc = "Run strictly sequentially (same as --domains 1)." in
-    Arg.(value & flag & info [ "seq" ] ~doc)
+    let doc = "Number of random fault plans to run." in
+    Arg.(value & opt (Conv.at_least 1) 200
+         & info [ "chaos-runs" ] ~doc ~docv:"N")
   in
   let corpus =
     let doc =
@@ -201,171 +216,133 @@ let chaos_cmd =
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~doc ~docv:"DIR")
   in
-  let run seed runs domains seq corpus replay =
+  let run seed runs domains corpus replay =
     let module Sweep = Tussle_chaos.Sweep in
     let module Invariant = Tussle_chaos.Invariant in
     let module Corpus = Tussle_chaos.Corpus in
-    let seed_result =
-      match seed with
-      | None -> Ok Tussle_fault.Seed.default
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> Ok n
-        | None ->
-          Error (Printf.sprintf "invalid chaos seed %S (expected an integer)" s))
-    in
-    let runs_result =
-      match runs with
-      | None -> Ok 200
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> Ok n
-        | Some _ | None ->
-          Error
-            (Printf.sprintf "invalid run count %S (expected an integer >= 1)" s))
-    in
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
-    in
-    match (seed_result, runs_result, domains_result) with
-    | Error msg, _, _ ->
-      prerr_endline ("chaos: --chaos-seed: " ^ msg);
-      2
-    | _, Error msg, _ ->
-      prerr_endline ("chaos: --chaos-runs: " ^ msg);
-      2
-    | _, _, Error msg ->
-      prerr_endline ("chaos: --domains: " ^ msg);
-      2
-    | Ok seed, Ok runs, Ok domains -> (
-      match replay with
-      | Some dir -> (
-        (* reject entries naming a scenario we don't have with a clean
-           LOAD ERROR line instead of letting them raise downstream *)
-        let known =
-          List.map
-            (fun (s : Tussle_chaos.Scenario.t) -> s.Tussle_chaos.Scenario.name)
-            Tussle_chaos.Scenario.all
-        in
-        let entries = Corpus.load_dir ~known dir in
-        Printf.printf "chaos replay: %d corpus entr%s under %s\n"
-          (List.length entries)
-          (if List.length entries = 1 then "y" else "ies")
-          dir;
-        let bad = ref 0 in
-        List.iter
-          (fun (path, entry) ->
-            match entry with
+    match replay with
+    | Some dir -> (
+      (* reject entries naming a scenario we don't have with a clean
+         LOAD ERROR line instead of letting them raise downstream *)
+      let known =
+        List.map
+          (fun (s : Tussle_chaos.Scenario.t) -> s.Tussle_chaos.Scenario.name)
+          Tussle_chaos.Scenario.all
+      in
+      let entries = Corpus.load_dir ~known dir in
+      Printf.printf "chaos replay: %d corpus entr%s under %s\n"
+        (List.length entries)
+        (if List.length entries = 1 then "y" else "ies")
+        dir;
+      let bad = ref 0 in
+      List.iter
+        (fun (path, entry) ->
+          match entry with
+          | Error msg ->
+            incr bad;
+            Printf.printf "  %s: LOAD ERROR %s\n" (Filename.basename path) msg
+          | Ok e -> (
+            match Sweep.replay e with
             | Error msg ->
               incr bad;
-              Printf.printf "  %s: LOAD ERROR %s\n" (Filename.basename path) msg
-            | Ok e -> (
-              match Sweep.replay e with
-              | Error msg ->
-                incr bad;
-                Printf.printf "  %s: %s\n" (Filename.basename path) msg
-              | Ok [] ->
-                Printf.printf "  %s: ok (%s, seed %d, %d episode%s)\n"
-                  (Filename.basename path) e.Corpus.scenario e.Corpus.seed
-                  (List.length e.Corpus.plan)
-                  (if List.length e.Corpus.plan = 1 then "" else "s")
-              | Ok violations ->
-                incr bad;
-                Printf.printf "  %s: VIOLATION\n" (Filename.basename path);
-                List.iter
-                  (fun v ->
-                    Printf.printf "    %s\n" (Invariant.violation_string v))
-                  violations))
-          entries;
-        if !bad = 0 then begin
-          Printf.printf "chaos replay: all clean\n";
-          0
-        end
-        else begin
-          Printf.printf "chaos replay: %d failing entr%s\n" !bad
-            (if !bad = 1 then "y" else "ies");
-          1
-        end)
-      | None ->
-        let results = Sweep.run_sweep ?domains ~seed ~runs () in
-        let failures = Sweep.failures results in
-        Printf.printf
-          "chaos sweep: %d runs from seed %d over %s; invariants: %s\n" runs
-          seed
-          (String.concat ", "
-             (List.map
-                (fun (s : Tussle_chaos.Scenario.t) -> s.Tussle_chaos.Scenario.name)
-                Tussle_chaos.Scenario.all))
-          (String.concat ", " Invariant.names);
-        List.iter
-          (fun (r : Sweep.run) ->
-            Printf.printf "run %04d %s seed=%d episodes=%d: VIOLATION\n"
-              r.Sweep.index r.Sweep.scenario r.Sweep.seed r.Sweep.episodes;
-            List.iter
-              (fun v -> Printf.printf "  %s\n" (Invariant.violation_string v))
-              r.Sweep.violations;
-            let minimal = Sweep.shrink_run r in
-            Printf.printf "  shrunk %d -> %d episode%s:\n"
-              (List.length r.Sweep.plan) (List.length minimal)
-              (if List.length minimal = 1 then "" else "s");
-            String.split_on_char '\n' (Tussle_fault.Plan.to_string minimal)
-            |> List.iter (fun line ->
-                   if line <> "" then Printf.printf "    %s\n" line);
-            let entry =
-              {
-                Corpus.scenario = r.Sweep.scenario;
-                seed = r.Sweep.seed;
-                plan = minimal;
-              }
+              Printf.printf "  %s: %s\n" (Filename.basename path) msg
+            | Ok [] ->
+              Printf.printf "  %s: ok (%s, seed %d, %d episode%s)\n"
+                (Filename.basename path) e.Corpus.scenario e.Corpus.seed
+                (List.length e.Corpus.plan)
+                (if List.length e.Corpus.plan = 1 then "" else "s")
+            | Ok violations ->
+              incr bad;
+              Printf.printf "  %s: VIOLATION\n" (Filename.basename path);
+              List.iter
+                (fun v ->
+                  Printf.printf "    %s\n" (Invariant.violation_string v))
+                violations))
+        entries;
+      if !bad = 0 then begin
+        Printf.printf "chaos replay: all clean\n";
+        0
+      end
+      else begin
+        Printf.printf "chaos replay: %d failing entr%s\n" !bad
+          (if !bad = 1 then "y" else "ies");
+        1
+      end)
+    | None ->
+      let results = Sweep.run_sweep ?domains ~seed ~runs () in
+      let failures = Sweep.failures results in
+      Printf.printf
+        "chaos sweep: %d runs from seed %d over %s; invariants: %s\n" runs
+        seed
+        (String.concat ", "
+           (List.map
+              (fun (s : Tussle_chaos.Scenario.t) -> s.Tussle_chaos.Scenario.name)
+              Tussle_chaos.Scenario.all))
+        (String.concat ", " Invariant.names);
+      List.iter
+        (fun (r : Sweep.run) ->
+          Printf.printf "run %04d %s seed=%d episodes=%d: VIOLATION\n"
+            r.Sweep.index r.Sweep.scenario r.Sweep.seed r.Sweep.episodes;
+          List.iter
+            (fun v -> Printf.printf "  %s\n" (Invariant.violation_string v))
+            r.Sweep.violations;
+          let minimal = Sweep.shrink_run r in
+          Printf.printf "  shrunk %d -> %d episode%s:\n"
+            (List.length r.Sweep.plan) (List.length minimal)
+            (if List.length minimal = 1 then "" else "s");
+          String.split_on_char '\n' (Tussle_fault.Plan.to_string minimal)
+          |> List.iter (fun line ->
+                 if line <> "" then Printf.printf "    %s\n" line);
+          let entry =
+            {
+              Corpus.scenario = r.Sweep.scenario;
+              seed = r.Sweep.seed;
+              plan = minimal;
+            }
+          in
+          (* replay the shrunk reproducer with the flight recorder on
+             and attach the offending flows' causal records to each
+             violation *)
+          let attachment =
+            match Tussle_chaos.Explain.run entry with
+            | Error msg -> Printf.sprintf "  explain: %s\n" msg
+            | Ok er ->
+              String.concat ""
+                (List.map
+                   (fun v ->
+                     Tussle_chaos.Explain.narrative_of_violation ~entry
+                       ~events:er.Tussle_chaos.Explain.events v)
+                   (if er.Tussle_chaos.Explain.violations = [] then
+                      r.Sweep.violations
+                    else er.Tussle_chaos.Explain.violations))
+          in
+          String.split_on_char '\n' attachment
+          |> List.iter (fun line ->
+                 if line <> "" then Printf.printf "  %s\n" line);
+          match corpus with
+          | None -> ()
+          | Some dir ->
+            let path = Corpus.save ~dir entry in
+            Printf.printf "  saved %s\n" path;
+            let explain_path =
+              Filename.remove_extension path ^ ".explain.txt"
             in
-            (* replay the shrunk reproducer with the flight recorder on
-               and attach the offending flows' causal records to each
-               violation *)
-            let attachment =
-              match Tussle_chaos.Explain.run entry with
-              | Error msg -> Printf.sprintf "  explain: %s\n" msg
-              | Ok er ->
-                String.concat ""
-                  (List.map
-                     (fun v ->
-                       Tussle_chaos.Explain.narrative_of_violation ~entry
-                         ~events:er.Tussle_chaos.Explain.events v)
-                     (if er.Tussle_chaos.Explain.violations = [] then
-                        r.Sweep.violations
-                      else er.Tussle_chaos.Explain.violations))
-            in
-            String.split_on_char '\n' attachment
-            |> List.iter (fun line ->
-                   if line <> "" then Printf.printf "  %s\n" line);
-            match corpus with
-            | None -> ()
-            | Some dir ->
-              let path = Corpus.save ~dir entry in
-              Printf.printf "  saved %s\n" path;
-              let explain_path =
-                Filename.remove_extension path ^ ".explain.txt"
-              in
-              let oc = open_out explain_path in
-              output_string oc attachment;
-              close_out oc;
-              Printf.printf "  saved %s\n" explain_path)
-          failures;
-        let n_fail = List.length failures in
-        Printf.printf "chaos sweep: %d/%d runs clean, %d violation%s\n"
-          (runs - n_fail) runs n_fail
-          (if n_fail = 1 then "" else "s");
-        if n_fail = 0 then 0 else 1)
+            let oc = open_out explain_path in
+            output_string oc attachment;
+            close_out oc;
+            Printf.printf "  saved %s\n" explain_path)
+        failures;
+      let n_fail = List.length failures in
+      Printf.printf "chaos sweep: %d/%d runs clean, %d violation%s\n"
+        (runs - n_fail) runs n_fail
+        (if n_fail = 1 then "" else "s");
+      if n_fail = 0 then 0 else 1
   in
   let doc =
     "run seeded random fault plans against the scenario checkers and \
      validate every simulation invariant (see also --replay)"
   in
-  Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(const run $ seed $ runs $ domains $ seq $ corpus $ replay)
+  cmd "chaos" ~doc Term.(const run $ seed $ runs $ domains $ corpus $ replay)
 
 (* ---------- explain ---------- *)
 
@@ -381,64 +358,67 @@ let explain_cmd =
     let doc = "Also write the tussle.flow-trace/1 JSON artifact to $(docv)." in
     Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
   in
-  let domains =
-    let doc =
-      "Accepted for symmetry with the other subcommands and validated; the \
-       replay itself is a single-threaded simulation, so the narrative is \
-       byte-identical for any value."
-    in
-    Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let seq =
-    let doc = "Same as --domains 1." in
-    Arg.(value & flag & info [ "seq" ] ~doc)
-  in
-  let run file json_out domains seq =
+  let run file json_out =
     let module Corpus = Tussle_chaos.Corpus in
     let module Explain = Tussle_chaos.Explain in
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
-    in
-    match domains_result with
+    match Corpus.load file with
     | Error msg ->
-      prerr_endline ("explain: --domains: " ^ msg);
+      Printf.eprintf "explain: %s\n" msg;
       2
-    | Ok _ -> (
-      match Corpus.load file with
+    | Ok entry -> (
+      match Explain.run entry with
       | Error msg ->
         Printf.eprintf "explain: %s\n" msg;
         2
-      | Ok entry -> (
-        match Explain.run entry with
-        | Error msg ->
-          Printf.eprintf "explain: %s\n" msg;
-          2
-        | Ok r ->
-          print_string r.Explain.narrative;
-          (match json_out with
-          | None -> ()
-          | Some out ->
-            (try Obs_json.to_file out (Explain.to_json r)
-             with Sys_error msg ->
-               Printf.eprintf "explain: --json: %s\n" msg;
-               exit 2);
-            Printf.printf "flow trace written to %s (%d events)\n" out
-              (List.length r.Explain.events));
-          if r.Explain.violations = [] then 0 else 1))
+      | Ok r ->
+        print_string r.Explain.narrative;
+        (match json_out with
+        | None -> ()
+        | Some out ->
+          (try Obs_json.to_file out (Explain.to_json r)
+           with Sys_error msg ->
+             Printf.eprintf "explain: --json: %s\n" msg;
+             exit 2);
+          Printf.printf "flow trace written to %s (%d events)\n" out
+            (List.length r.Explain.events));
+        if r.Explain.violations = [] then 0 else 1)
   in
   let doc =
     "replay a chaos corpus reproducer with the flow-level flight recorder \
      on and print a causal narrative: every drop attributed to the fault \
      episode that explains it, plus the control-plane timeline"
   in
-  Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const run $ file $ json_out $ domains $ seq)
+  cmd "explain" ~doc Term.(const run $ file $ json_out)
 
 (* ---------- trends ---------- *)
+
+(* Read, parse and validate a battery report (trends and perfgate);
+   [Error] is the one-line message printed before exiting 2. *)
+let load_battery_report file =
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | contents -> (
+    match Obs_json.parse contents with
+    | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
+    | Ok json -> (
+      match Obs_report.validate json with
+      | Error msg ->
+        Error (Printf.sprintf "%s: invalid battery report: %s" file msg)
+      | Ok () -> Ok json))
+
+(* (id, wall_s, allocated_bytes) of every experiment in a battery report *)
+let experiments json =
+  match Option.bind (Obs_json.member "experiments" json) Obs_json.to_list with
+  | None -> []
+  | Some entries ->
+    List.filter_map
+      (fun e ->
+        let str name = Option.bind (Obs_json.member name e) Obs_json.to_str in
+        let fl name = Option.bind (Obs_json.member name e) Obs_json.to_float in
+        match (str "id", fl "wall_s", fl "allocated_bytes") with
+        | Some id, Some w, Some a -> Some (id, w, a)
+        | _ -> None)
+      entries
 
 let trends_cmd =
   let file =
@@ -457,37 +437,7 @@ let trends_cmd =
     Arg.(value & opt (some string) None & info [ "baseline" ] ~doc ~docv:"FILE")
   in
   let run file history baseline =
-    let load file =
-      match
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | exception Sys_error msg -> Error msg
-      | contents -> (
-        match Obs_json.parse contents with
-        | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-        | Ok json -> (
-          match Obs_report.validate json with
-          | Error msg ->
-            Error (Printf.sprintf "%s: invalid battery report: %s" file msg)
-          | Ok () -> Ok json))
-    in
-    let experiments json =
-      match Option.bind (Obs_json.member "experiments" json) Obs_json.to_list with
-      | None -> []
-      | Some entries ->
-        List.filter_map
-          (fun e ->
-            let str name = Option.bind (Obs_json.member name e) Obs_json.to_str in
-            let fl name = Option.bind (Obs_json.member name e) Obs_json.to_float in
-            match (str "id", fl "wall_s", fl "allocated_bytes") with
-            | Some id, Some w, Some a -> Some (id, w, a)
-            | _ -> None)
-          entries
-    in
-    match load file with
+    match load_battery_report file with
     | Error msg ->
       prerr_endline ("trends: " ^ msg);
       2
@@ -534,12 +484,7 @@ let trends_cmd =
         2
       | () -> (
         (* round-trip the whole history: every line must still parse *)
-        let reread =
-          let ic = open_in_bin history in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
+        let reread = In_channel.with_open_bin history In_channel.input_all in
         let lines =
           String.split_on_char '\n' reread
           |> List.filter (fun l -> String.trim l <> "")
@@ -566,7 +511,7 @@ let trends_cmd =
           (match baseline with
           | None -> 0
           | Some bfile -> (
-            match load bfile with
+            match load_battery_report bfile with
             | Error msg ->
               prerr_endline ("trends: --baseline: " ^ msg);
               2
@@ -597,27 +542,22 @@ let trends_cmd =
      round-trip) and print per-experiment wall/alloc deltas against a \
      baseline report"
   in
-  Cmd.v (Cmd.info "trends" ~doc) Term.(const run $ file $ history $ baseline)
+  cmd "trends" ~doc Term.(const run $ file $ history $ baseline)
 
 (* ---------- report ---------- *)
 
 let report_cmd =
   (* The positional is a plain string, not [Arg.file]: a missing path
-     must produce our clean one-line error and exit 2 (the --domains
-     garbage-input convention), not cmdliner's generic CLI error. *)
+     must produce our clean one-line error, not cmdliner's usage
+     message. *)
   let file =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"REPORT-FILE" ~doc:"Battery report JSON to check.")
   in
   let run file =
-    match
-      (* covers both failure surfaces: open (missing / permission) and
-         read (e.g. the path is a directory) *)
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
+    (* covers both failure surfaces: open (missing / permission) and
+       read (e.g. the path is a directory) *)
+    match In_channel.with_open_bin file In_channel.input_all with
     | exception Sys_error msg ->
       Printf.eprintf "report: %s\n" msg;
       2
@@ -692,7 +632,7 @@ let report_cmd =
           0)))
   in
   let doc = "validate and summarize a battery or sweep report JSON file" in
-  Cmd.v (Cmd.info "report" ~doc) Term.(const run $ file)
+  cmd "report" ~doc Term.(const run $ file)
 
 (* ---------- sweep ---------- *)
 
@@ -704,203 +644,119 @@ let sweep_cmd =
     in
     Arg.(value & opt (some string) None & info [ "e"; "experiments" ] ~doc ~docv:"IDS")
   in
-  (* All numeric flags taken as strings so garbage is rejected with our
-     clean one-line error and exit 2 — the --domains convention. *)
   let sweep_seed =
     let doc =
       "Master seed for the sweep.  Every run's seed derives from (seed, run \
        index) alone, so the summary and the report are byte-identical across \
-       repeats and across any --domains count; default 1031."
+       repeats and across any --domains count."
     in
-    Arg.(value & opt (some string) None & info [ "sweep-seed" ] ~doc ~docv:"SEED")
+    Arg.(value & opt Conv.seed 1031 & info [ "sweep-seed" ] ~doc ~docv:"SEED")
   in
   let sweep_runs =
-    let doc = "Number of seeded replicates per experiment (>= 2; default 100)." in
-    Arg.(value & opt (some string) None & info [ "sweep-runs" ] ~doc ~docv:"N")
+    let doc = "Number of seeded replicates per experiment (>= 2)." in
+    Arg.(value & opt (Conv.at_least 2) 100
+         & info [ "sweep-runs" ] ~doc ~docv:"N")
   in
   let alpha =
     let doc =
       "Significance level: a verdict passes when its p-value is below \
-       $(docv) (in (0, 1); default 0.01)."
+       $(docv), in (0, 1)."
     in
-    Arg.(value & opt (some string) None & info [ "alpha" ] ~doc ~docv:"ALPHA")
-  in
-  let domains =
-    let doc =
-      "Number of domains for the probe fan-out (default: the recommended \
-       domain count).  Output is byte-identical for any value."
-    in
-    Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let seq =
-    let doc = "Run strictly sequentially (same as --domains 1)." in
-    Arg.(value & flag & info [ "seq" ] ~doc)
-  in
-  let timeout_s =
-    let doc =
-      "Arm the per-run watchdog: a probe replicate still running after \
-       $(docv) seconds fails that experiment's sweep while the others carry \
-       on.  Off by default."
-    in
-    Arg.(value & opt (some string) None & info [ "timeout-s" ] ~doc ~docv:"SECONDS")
+    Arg.(value & opt Conv.alpha 0.01 & info [ "alpha" ] ~doc ~docv:"ALPHA")
   in
   let report =
     let doc = "Write the tussle.sweep-report/1 JSON artifact to $(docv)." in
     Arg.(value & opt (some string) None & info [ "report" ] ~doc ~docv:"FILE")
   in
-  let run ids sweep_seed sweep_runs alpha domains seq timeout_s report =
+  let run ids seed runs alpha domains timeout_s report =
     let fail flag msg =
       prerr_endline (Printf.sprintf "sweep: %s: %s" flag msg);
       2
     in
-    let seed_result =
-      match sweep_seed with
-      | None -> Ok 1031
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "invalid seed %S (expected an integer)" s))
+    let experiments_result =
+      match ids with
+      | None -> Ok (Tussle_experiments.Registry.sweepables ())
+      | Some s ->
+        let ids = String.split_on_char ',' s |> List.map String.trim in
+        List.fold_left
+          (fun acc id ->
+            Result.bind acc (fun es ->
+                match Tussle_experiments.Registry.find id with
+                | None -> Error (Printf.sprintf "unknown experiment %S" id)
+                | Some e when e.Tussle_experiments.Experiment.sweep = None ->
+                  Error
+                    (Printf.sprintf
+                       "experiment %s has no sweep surface (no per-run \
+                        metrics to test)"
+                       e.Tussle_experiments.Experiment.id)
+                | Some e -> Ok (es @ [ e ])))
+          (Ok []) ids
     in
-    let runs_result =
-      match sweep_runs with
-      | None -> Ok 100
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 2 -> Ok n
-        | Some _ | None ->
-          Error (Printf.sprintf "invalid run count %S (expected an integer >= 2)" s))
-    in
-    let alpha_result =
-      match alpha with
-      | None -> Ok 0.01
-      | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some a when a > 0.0 && a < 1.0 -> Ok a
-        | Some _ | None ->
-          Error
-            (Printf.sprintf "invalid significance level %S (expected a number \
-                             strictly between 0 and 1)" s))
-    in
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
-    in
-    let timeout_result =
-      match timeout_s with
-      | None -> Ok None
-      | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some t when t > 0.0 && Float.is_finite t -> Ok (Some t)
-        | Some _ | None ->
-          Error
-            (Printf.sprintf "invalid timeout %S (expected a positive number \
-                             of seconds)" s))
-    in
-    match (seed_result, runs_result, alpha_result, domains_result, timeout_result) with
-    | Error msg, _, _, _, _ -> fail "--sweep-seed" msg
-    | _, Error msg, _, _, _ -> fail "--sweep-runs" msg
-    | _, _, Error msg, _, _ -> fail "--alpha" msg
-    | _, _, _, Error msg, _ -> fail "--domains" msg
-    | _, _, _, _, Error msg -> fail "--timeout-s" msg
-    | Ok seed, Ok runs, Ok alpha, Ok domains, Ok timeout_s -> (
-      let experiments_result =
-        match ids with
-        | None -> Ok (Tussle_experiments.Registry.sweepables ())
-        | Some s ->
-          let ids = String.split_on_char ',' s |> List.map String.trim in
-          List.fold_left
-            (fun acc id ->
-              Result.bind acc (fun es ->
-                  match Tussle_experiments.Registry.find id with
-                  | None -> Error (Printf.sprintf "unknown experiment %S" id)
-                  | Some e when e.Tussle_experiments.Experiment.sweep = None ->
-                    Error
-                      (Printf.sprintf
-                         "experiment %s has no sweep surface (no per-run \
-                          metrics to test)"
-                         e.Tussle_experiments.Experiment.id)
-                  | Some e -> Ok (es @ [ e ])))
-            (Ok []) ids
+    match experiments_result with
+    | Error msg -> fail "--experiments" msg
+    | Ok experiments ->
+      let sweep_report, errors =
+        Tussle_sweep.Driver.run_sweep ?domains ?timeout_s ~seed ~runs ~alpha
+          experiments
       in
-      match experiments_result with
-      | Error msg -> fail "--experiments" msg
-      | Ok experiments ->
-        let sweep_report, errors =
-          Tussle_sweep.Driver.run_sweep ?domains ?timeout_s ~seed ~runs ~alpha
-            experiments
-        in
-        print_string (Obs_sweep_report.summary sweep_report);
-        List.iter
-          (fun e ->
-            prerr_endline
-              ("sweep: " ^ Tussle_sweep.Driver.error_string e))
-          errors;
-        let violations = Tussle_sweep.Driver.check_report sweep_report in
-        List.iter
-          (fun v ->
-            prerr_endline
-              ("sweep: report invariant violated: "
-              ^ Tussle_chaos.Invariant.violation_string v))
-          violations;
-        (match report with
-        | None -> ()
-        | Some file -> (
-          try
-            Obs_sweep_report.write file sweep_report;
-            Printf.printf "\nreport written to %s\n" file
-          with Sys_error msg ->
-            prerr_endline ("sweep: --report: " ^ msg);
-            exit 2));
-        let total, passed = Obs_sweep_report.count_verdicts sweep_report in
-        if errors <> [] || violations <> [] || passed < total then 1 else 0)
+      print_string (Obs_sweep_report.summary sweep_report);
+      List.iter
+        (fun e ->
+          prerr_endline
+            ("sweep: " ^ Tussle_sweep.Driver.error_string e))
+        errors;
+      let violations = Tussle_sweep.Driver.check_report sweep_report in
+      List.iter
+        (fun v ->
+          prerr_endline
+            ("sweep: report invariant violated: "
+            ^ Tussle_chaos.Invariant.violation_string v))
+        violations;
+      (match report with
+      | None -> ()
+      | Some file -> (
+        try
+          Obs_sweep_report.write file sweep_report;
+          Printf.printf "\nreport written to %s\n" file
+        with Sys_error msg ->
+          prerr_endline ("sweep: --report: " ^ msg);
+          exit 2));
+      let total, passed = Obs_sweep_report.count_verdicts sweep_report in
+      if errors <> [] || violations <> [] || passed < total then 1 else 0
   in
   let doc =
     "statistical verdicts: sweep experiments across seeds and hypothesis-test \
      the claims"
   in
-  Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(const run $ ids $ sweep_seed $ sweep_runs $ alpha $ domains $ seq
+  cmd "sweep" ~doc
+    Term.(const run $ ids $ sweep_seed $ sweep_runs $ alpha $ domains
           $ timeout_s $ report)
 
 (* ---------- search ---------- *)
 
 let search_cmd =
+  let module Driver = Tussle_search.Driver in
   let backend =
     let doc =
       "Search backend: $(b,mutate) (coverage-guided mutation seeded from the \
        corpus) or $(b,exhaust) (bounded-exhaustive enumeration of a small \
        quantized plan grammar, certifying the box when it completes clean)."
     in
-    Arg.(value & opt string "mutate" & info [ "backend" ] ~doc ~docv:"NAME")
+    let backends = List.map (fun b -> (b, b)) Driver.backend_names in
+    Arg.(value & opt (enum backends) "mutate"
+         & info [ "backend" ] ~doc ~docv:"NAME")
   in
-  (* Numeric flags taken as strings so garbage is rejected with our
-     clean one-line error and exit 2 — the --domains convention. *)
   let budget =
-    let doc = "Total number of fault plans to evaluate (default 200)." in
-    Arg.(value & opt (some string) None & info [ "budget" ] ~doc ~docv:"N")
+    let doc = "Total number of fault plans to evaluate." in
+    Arg.(value & opt (Conv.at_least 1) 200 & info [ "budget" ] ~doc ~docv:"N")
   in
   let sweep_seed =
     let doc =
       "Master seed for the search.  Every candidate derives from (seed, \
        candidate index) alone, so the summary and the report are \
-       byte-identical across repeats and across any --domains count; \
-       default 1031."
+       byte-identical across repeats and across any --domains count."
     in
-    Arg.(value & opt (some string) None & info [ "sweep-seed" ] ~doc ~docv:"SEED")
-  in
-  let domains =
-    let doc =
-      "Number of domains for the candidate fan-out (default: the recommended \
-       domain count).  Output is byte-identical for any value."
-    in
-    Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N")
-  in
-  let seq =
-    let doc = "Run strictly sequentially (same as --domains 1)." in
-    Arg.(value & flag & info [ "seq" ] ~doc)
+    Arg.(value & opt Conv.seed 1031 & info [ "sweep-seed" ] ~doc ~docv:"SEED")
   in
   let corpus =
     let doc =
@@ -914,91 +770,49 @@ let search_cmd =
     let doc = "Write the tussle.search-report/1 JSON artifact to $(docv)." in
     Arg.(value & opt (some string) None & info [ "report" ] ~doc ~docv:"FILE")
   in
-  let run backend budget sweep_seed domains seq corpus report =
-    let module Driver = Tussle_search.Driver in
-    let fail flag msg =
-      prerr_endline (Printf.sprintf "search: %s: %s" flag msg);
+  let run backend budget seed domains corpus report =
+    let corpus_dir = if String.trim corpus = "" then None else Some corpus in
+    match Driver.run ?domains ?corpus_dir ~backend ~seed ~budget () with
+    | Error msg ->
+      prerr_endline ("search: --backend: " ^ msg);
       2
-    in
-    let backend_result =
-      let b = String.trim backend in
-      if List.mem b Driver.backend_names then Ok b
-      else
-        Error
-          (Printf.sprintf "invalid backend %S (expected %s)" backend
-             (String.concat " or " Driver.backend_names))
-    in
-    let budget_result =
-      match budget with
-      | None -> Ok 200
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> Ok n
-        | Some _ | None ->
-          Error (Printf.sprintf "invalid budget %S (expected an integer >= 1)" s))
-    in
-    let seed_result =
-      match sweep_seed with
-      | None -> Ok 1031
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "invalid seed %S (expected an integer)" s))
-    in
-    let domains_result =
-      if seq then Ok (Some 1)
-      else
-        match domains with
-        | None -> Ok None
-        | Some s -> Result.map Option.some (Tussle_prelude.Pool.domains_of_string s)
-    in
-    match (backend_result, budget_result, seed_result, domains_result) with
-    | Error msg, _, _, _ -> fail "--backend" msg
-    | _, Error msg, _, _ -> fail "--budget" msg
-    | _, _, Error msg, _ -> fail "--sweep-seed" msg
-    | _, _, _, Error msg -> fail "--domains" msg
-    | Ok backend, Ok budget, Ok seed, Ok domains -> (
-      let corpus_dir = if String.trim corpus = "" then None else Some corpus in
-      match Driver.run ?domains ?corpus_dir ~backend ~seed ~budget () with
-      | Error msg -> fail "--backend" msg
-      | Ok (search_report, _outcome) ->
-        print_string (Obs_search_report.summary search_report);
-        let violations =
-          Tussle_chaos.Invariant.check_search_report search_report
-        in
-        List.iter
-          (fun v ->
-            prerr_endline
-              ("search: report invariant violated: "
-              ^ Tussle_chaos.Invariant.violation_string v))
-          violations;
-        (match report with
-        | None -> ()
-        | Some file -> (
-          try
-            Obs_search_report.write file search_report;
-            Printf.printf "\nreport written to %s\n" file
-          with Sys_error msg ->
-            prerr_endline ("search: --report: " ^ msg);
-            exit 2));
-        if violations <> [] || search_report.Obs_search_report.findings <> []
-        then 1
-        else 0)
+    | Ok (search_report, _outcome) ->
+      print_string (Obs_search_report.summary search_report);
+      let violations =
+        Tussle_chaos.Invariant.check_search_report search_report
+      in
+      List.iter
+        (fun v ->
+          prerr_endline
+            ("search: report invariant violated: "
+            ^ Tussle_chaos.Invariant.violation_string v))
+        violations;
+      (match report with
+      | None -> ()
+      | Some file -> (
+        try
+          Obs_search_report.write file search_report;
+          Printf.printf "\nreport written to %s\n" file
+        with Sys_error msg ->
+          prerr_endline ("search: --report: " ^ msg);
+          exit 2));
+      if violations <> [] || search_report.Obs_search_report.findings <> []
+      then 1
+      else 0
   in
   let doc =
     "adversarial search over fault-plan space: coverage-guided mutation or \
      bounded-exhaustive enumeration against the invariant registry"
   in
-  Cmd.v (Cmd.info "search" ~doc)
-    Term.(const run $ backend $ budget $ sweep_seed $ domains $ seq $ corpus
+  cmd "search" ~doc
+    Term.(const run $ backend $ budget $ sweep_seed $ domains $ corpus
           $ report)
 
 (* ---------- perfgate ---------- *)
 
 let perfgate_cmd =
   (* Plain strings for the same clean-error/exit-2 convention as
-     [report]: missing files and malformed flags are our diagnostics,
-     not cmdliner's. *)
+     [report]: missing files are our diagnostics, not cmdliner's. *)
   let baseline =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"BASELINE" ~doc:"Committed battery report to gate against.")
@@ -1013,130 +827,88 @@ let perfgate_cmd =
     Arg.(value & opt string "E1,E3" & info [ "ids" ] ~doc ~docv:"IDS")
   in
   let tolerance =
-    let doc = "Allowed fractional regression per metric (default 0.25: fail \
-               when a metric exceeds baseline by more than 25%)." in
-    Arg.(value & opt (some string) None & info [ "tolerance" ] ~doc ~docv:"FRAC")
+    let doc = "Allowed fractional regression per metric (0.25: fail when a \
+               metric exceeds baseline by more than 25%)." in
+    Arg.(value & opt Conv.non_negative 0.25
+         & info [ "tolerance" ] ~doc ~docv:"FRAC")
   in
-  let run baseline candidate ids tolerance =
-    let tolerance_result =
-      match tolerance with
-      | None -> Ok 0.25
-      | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some t when t >= 0.0 && Float.is_finite t -> Ok t
-        | Some _ | None ->
-          Error
-            (Printf.sprintf
-               "invalid tolerance %S (expected a non-negative number)" s))
-    in
-    let load file =
-      match
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
-      | exception Sys_error msg -> Error msg
-      | contents -> (
-        match Obs_json.parse contents with
-        | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-        | Ok json -> (
-          match Obs_report.validate json with
-          | Error msg ->
-            Error (Printf.sprintf "%s: invalid battery report: %s" file msg)
-          | Ok () -> Ok json))
-    in
+  let run baseline candidate ids tol =
     (* experiment id -> (wall_s, allocated_bytes) *)
     let experiment_metrics json id =
-      match Option.bind (Obs_json.member "experiments" json) Obs_json.to_list with
-      | None -> None
-      | Some entries ->
-        List.find_map
-          (fun e ->
-            match Option.bind (Obs_json.member "id" e) Obs_json.to_str with
-            | Some i when i = id ->
-              let fl name = Option.bind (Obs_json.member name e) Obs_json.to_float in
-              Option.bind (fl "wall_s") (fun w ->
-                  Option.map (fun a -> (w, a)) (fl "allocated_bytes"))
-            | _ -> None)
-          entries
+      List.find_map
+        (fun (i, w, a) -> if i = id then Some (w, a) else None)
+        (experiments json)
     in
-    match tolerance_result with
-    | Error msg ->
-      prerr_endline ("perfgate: --tolerance: " ^ msg);
+    match (load_battery_report baseline, load_battery_report candidate) with
+    | Error msg, _ | _, Error msg ->
+      prerr_endline ("perfgate: " ^ msg);
       2
-    | Ok tol -> (
-      match (load baseline, load candidate) with
-      | Error msg, _ | _, Error msg ->
-        prerr_endline ("perfgate: " ^ msg);
+    | Ok base_json, Ok cand_json ->
+      let ids =
+        String.split_on_char ',' ids
+        |> List.map String.trim
+        |> List.filter (fun s -> s <> "")
+      in
+      if ids = [] then begin
+        prerr_endline "perfgate: --ids: no experiment ids given";
         2
-      | Ok base_json, Ok cand_json ->
-        let ids =
-          String.split_on_char ',' ids
-          |> List.map String.trim
-          |> List.filter (fun s -> s <> "")
-        in
-        if ids = [] then begin
-          prerr_endline "perfgate: --ids: no experiment ids given";
+      end
+      else begin
+        let missing = ref false in
+        let regressed = ref false in
+        Printf.printf "perfgate: %s vs %s, tolerance %.0f%%\n" candidate
+          baseline (100.0 *. tol);
+        List.iter
+          (fun id ->
+            match (experiment_metrics base_json id, experiment_metrics cand_json id) with
+            | None, _ ->
+              missing := true;
+              Printf.printf "  %-4s MISSING in baseline\n" id
+            | _, None ->
+              missing := true;
+              Printf.printf "  %-4s MISSING in report\n" id
+            | Some (bw, ba), Some (cw, ca) ->
+              let gate metric base cand fmt =
+                (* a zero baseline gates nothing: any positive value
+                   would be an infinite ratio *)
+                let limit = base *. (1.0 +. tol) in
+                let bad = base > 0.0 && cand > limit in
+                if bad then regressed := true;
+                Printf.printf "  %-4s %-15s %s -> %s (limit %s)%s\n" id metric
+                  (fmt base) (fmt cand) (fmt limit)
+                  (if bad then "  REGRESSION" else "")
+              in
+              gate "wall_s" bw cw (Printf.sprintf "%.3fs");
+              gate "allocated_bytes" ba ca (fun b ->
+                  Printf.sprintf "%.1fMB" (b /. 1.048576e6)))
+          ids;
+        if !missing then begin
+          prerr_endline "perfgate: experiment missing from a report";
           2
         end
+        else if !regressed then begin
+          print_endline "perfgate: FAIL (performance regression)";
+          1
+        end
         else begin
-          let missing = ref false in
-          let regressed = ref false in
-          Printf.printf "perfgate: %s vs %s, tolerance %.0f%%\n" candidate
-            baseline (100.0 *. tol);
-          List.iter
-            (fun id ->
-              match (experiment_metrics base_json id, experiment_metrics cand_json id) with
-              | None, _ ->
-                missing := true;
-                Printf.printf "  %-4s MISSING in baseline\n" id
-              | _, None ->
-                missing := true;
-                Printf.printf "  %-4s MISSING in report\n" id
-              | Some (bw, ba), Some (cw, ca) ->
-                let gate metric base cand fmt =
-                  (* a zero baseline gates nothing: any positive value
-                     would be an infinite ratio *)
-                  let limit = base *. (1.0 +. tol) in
-                  let bad = base > 0.0 && cand > limit in
-                  if bad then regressed := true;
-                  Printf.printf "  %-4s %-15s %s -> %s (limit %s)%s\n" id metric
-                    (fmt base) (fmt cand) (fmt limit)
-                    (if bad then "  REGRESSION" else "")
-                in
-                gate "wall_s" bw cw (Printf.sprintf "%.3fs");
-                gate "allocated_bytes" ba ca (fun b ->
-                    Printf.sprintf "%.1fMB" (b /. 1.048576e6)))
-            ids;
-          if !missing then begin
-            prerr_endline "perfgate: experiment missing from a report";
-            2
-          end
-          else if !regressed then begin
-            print_endline "perfgate: FAIL (performance regression)";
-            1
-          end
-          else begin
-            print_endline "perfgate: ok";
-            0
-          end
-        end)
+          print_endline "perfgate: ok";
+          0
+        end
+      end
   in
   let doc =
     "gate a fresh battery report against a committed baseline: fail when a \
      tracked experiment's wall clock or GC allocation regresses beyond the \
      tolerance"
   in
-  Cmd.v (Cmd.info "perfgate" ~doc)
-    Term.(const run $ baseline $ candidate $ ids $ tolerance)
+  cmd "perfgate" ~doc Term.(const run $ baseline $ candidate $ ids $ tolerance)
 
 (* ---------- scenario ---------- *)
 
 let scenario_cmd =
   let rounds =
     let doc = "Maximum number of rounds." in
-    Arg.(value & opt int 30 & info [ "rounds" ] ~doc)
+    Arg.(value & opt (Conv.at_least 1) 30 & info [ "rounds" ] ~doc)
   in
   let kinds =
     let doc =
@@ -1199,18 +971,22 @@ let scenario_cmd =
     end
   in
   let doc = "run the actor/mechanism tussle engine" in
-  Cmd.v (Cmd.info "scenario" ~doc) Term.(const run $ rounds $ kinds)
+  cmd "scenario" ~doc Term.(const run $ rounds $ kinds)
 
 (* ---------- market ---------- *)
 
 let market_cmd =
   let providers =
-    Arg.(value & opt int 4 & info [ "providers" ] ~doc:"Number of providers.")
+    Arg.(value & opt (Conv.at_least 1) 4
+         & info [ "providers" ] ~doc:"Number of providers.")
   in
   let switching =
-    Arg.(value & opt float 0.0 & info [ "switching-cost" ] ~doc:"Lock-in cost.")
+    Arg.(value & opt Conv.non_negative 0.0
+         & info [ "switching-cost" ] ~doc:"Lock-in cost.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
+  let seed =
+    Arg.(value & opt Conv.seed 42 & info [ "seed" ] ~doc:"RNG seed.")
+  in
   let run providers switching seed =
     let cfg =
       {
@@ -1231,7 +1007,7 @@ let market_cmd =
     0
   in
   let doc = "run the access-provider market model" in
-  Cmd.v (Cmd.info "market" ~doc) Term.(const run $ providers $ switching $ seed)
+  cmd "market" ~doc Term.(const run $ providers $ switching $ seed)
 
 (* ---------- policy ---------- *)
 
@@ -1253,15 +1029,11 @@ let policy_cmd =
          & info [ "a"; "attr" ] ~doc:"Attribute binding name=value (int or string).")
   in
   let run file request root attrs =
-    let read_file path =
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
     try
-      let policy = Tussle_policy.Parser.parse (read_file file) in
+      let policy =
+        Tussle_policy.Parser.parse
+          (In_channel.with_open_bin file In_channel.input_all)
+      in
       match String.split_on_char ':' request with
       | [ subject; action; resource ] ->
         let attributes =
@@ -1298,18 +1070,28 @@ let policy_cmd =
     | Tussle_policy.Lexer.Lex_error (msg, pos) ->
       Printf.eprintf "lex error at %d: %s\n" pos msg;
       2
+    | Sys_error msg ->
+      prerr_endline ("policy: " ^ msg);
+      2
   in
   let doc = "evaluate a policy compliance query" in
-  Cmd.v (Cmd.info "policy" ~doc) Term.(const run $ file $ request $ root $ attr)
+  cmd "policy" ~doc Term.(const run $ file $ request $ root $ attr)
 
 let () =
   Printexc.record_backtrace true;
   let doc = "the Tussle-in-Cyberspace simulation framework" in
-  let info = Cmd.info "tussle" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "tussle" ~version:"1.0.0" ~doc ~exits in
   let group =
     Cmd.group info
       [ experiments_cmd; chaos_cmd; sweep_cmd; search_cmd; explain_cmd;
         trends_cmd; report_cmd; perfgate_cmd; scenario_cmd; market_cmd;
         policy_cmd ]
   in
-  exit (Cmd.eval' group)
+  (* A bad flag value and an unknown option are usage errors like any
+     other: exit 2, not cmdliner's 124. *)
+  exit
+    (match Cmd.eval_value group with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -87,10 +87,6 @@ let run_battery ?domains ?timeout_s () =
     (if ok then "ALL HOLD" else "SOME FAILED");
   (ok, outcomes, Tussle_obs.Clock.now_s () -. wall0)
 
-let run_all ?domains ?timeout_s () =
-  let ok, _, _ = run_battery ?domains ?timeout_s () in
-  ok
-
 let run_one ?timeout_s id =
   match find id with
   | None -> Error (Printf.sprintf "unknown experiment %S" id)

@@ -7,7 +7,7 @@
     byte-identical for any domain count. *)
 
 val all : Experiment.t list
-(** E1 through E28 in order. *)
+(** E1 through E30 in order. *)
 
 val hang_probe : Experiment.t
 (** "E99": a deliberately-hung toy experiment ({e not} part of {!all})
@@ -39,23 +39,20 @@ val run_list :
     watchdog of {!Experiment.run} — a runaway one becomes
     [FAILED (timeout)] while the rest of the batch carries on. *)
 
-val run_all : ?domains:int -> ?timeout_s:float -> unit -> bool
-(** Run and print every experiment to stdout in registry order;
-    [true] iff every shape check held (a [Failed] experiment counts as
-    not holding). *)
-
 val run_battery :
   ?domains:int ->
   ?timeout_s:float ->
   unit ->
   bool * Experiment.outcome list * float
-(** Like {!run_all} but also returns the outcomes (for report
-    building) and the battery wall clock in seconds.  The whole run is
-    wrapped in a ["battery"] span when tracing is enabled. *)
+(** Run and print every experiment to stdout in registry order, then
+    the summary line.  Returns [true] iff every shape check held (a
+    [Failed] experiment counts as not holding), the outcomes (for
+    report building) and the battery wall clock in seconds.  The whole
+    run is wrapped in a ["battery"] span when tracing is enabled. *)
 
 val run_one : ?timeout_s:float -> string -> (Experiment.outcome, string) result
 (** Print one experiment by id (fault-isolated and watchdog-guarded
-    like {!run_all}) and return its outcome. *)
+    like {!run_battery}) and return its outcome. *)
 
 val report :
   ?label:string ->

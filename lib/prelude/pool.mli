@@ -18,9 +18,9 @@ val default_domains : unit -> int
 
 val domains_of_string : string -> (int, string) result
 (** Parse a [--domains] argument: trimmed decimal integer [>= 1].
-    [Error] carries the message entry points print before exiting 2 —
-    the one place both [bench/main] and the CLI validate the flag, so
-    garbage can never silently fall back to the default. *)
+    [Error] carries the message the CLI prints before exiting 2 — the
+    one place the flag is validated, so garbage can never silently fall
+    back to the default. *)
 
 type stats = {
   workers : int;

@@ -12,6 +12,8 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 
+let index_seed ~seed index = seed + (7919 * (index + 1))
+
 let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state

@@ -12,6 +12,14 @@ val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed.  Equal seeds
     yield equal streams. *)
 
+val index_seed : seed:int -> int -> int
+(** [index_seed ~seed i] is the seed of item [i] of a campaign seeded
+    with [seed]: [seed + 7919 * (i + 1)].  Chaos plans, sweep runs and
+    search candidates all derive from it, so each item depends only on
+    (master seed, index) — never on which domain ran it — and a
+    campaign is byte-identical for any domain count.  7919 (the 1000th
+    prime) spreads the per-index seeds away from each other. *)
+
 val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Use to give subsystems their own streams without sharing state. *)

@@ -22,9 +22,6 @@ type error = { exp_id : string; message : string }
     are omitted from the report; the sweep's other experiments are
     unaffected (the battery's fault-isolation discipline). *)
 
-val run_seed : seed:int -> int -> int
-(** The per-run seed derivation, exposed so tests can pin it. *)
-
 val run_sweep :
   ?domains:int ->
   ?timeout_s:float ->

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the observability battery smoke:
+# Tier-1 verification plus the end-to-end smoke of the `tussle` CLI,
+# the single entry point (bench/main.exe only runs the microbenchmarks):
 #   - dune build && dune runtest
 #   - battery run with --report/--trace, schema validation of both
+#   - behaviour lock: battery stdout matches the committed digest
+#     scripts/battery.sha256
 #   - telemetry must not perturb battery stdout
-#   - --domains / --timeout-s / --fault-seed garbage must exit 2 on
-#     both entry points
+#   - garbage flag values and unknown options exit 2 on every
+#     subcommand; bench/main.exe exits 2 when given any argument
 #   - fault battery smoke: E28 is deterministic per fault seed and
 #     differs across seeds
 #   - watchdog: a hung experiment becomes FAILED (timeout), exit 1
@@ -12,27 +15,23 @@
 #   - chaos smoke: a fixed-seed sweep over the extended fault grammar
 #     (gray loss, unidirectional, flap, blackhole included) is clean
 #     and byte-identical across --domains 1/2/4; the committed corpus
-#     (including the covert-fault reproducers) replays clean;
-#     --chaos-seed / --chaos-runs garbage exits 2
+#     (including the covert-fault reproducers) replays clean
 #   - flight recorder off (the default): battery stdout byte-identical
 #     across --domains 1/2/4
 #   - tussle explain: every committed corpus reproducer yields a
-#     deterministic causal narrative (byte-identical across
-#     --domains 1/2/4) plus a flow-trace artifact; parse/schema errors
-#     and garbage flags exit 2
+#     deterministic causal narrative (byte-identical across repeats)
+#     plus a flow-trace artifact; missing and unparseable plans exit 2
 #   - tussle trends: history lines round-trip; parse errors exit 2;
 #     the battery-smoke report is appended to the committed
 #     BENCH_history.jsonl with deltas vs BENCH_baseline.json
 #   - sweep smoke: tussle sweep at a small N passes every statistical
 #     verdict, the tussle.sweep-report/1 artifact validates via
 #     tussle report and is byte-identical across --domains 1/2/4 and
-#     across repeats; --sweep-seed / --sweep-runs / --alpha garbage
-#     exits 2 on both entry points
+#     across repeats
 #   - search smoke: tussle search (mutate + exhaust backends) is clean
 #     on the real scenarios, with stdout and the
 #     tussle.search-report/1 artifact byte-identical across
-#     --domains 1/2/4; garbage search flags exit 2 on both entry
-#     points
+#     --domains 1/2/4
 #   - perf gate: E1/E3 wall clock and GC allocation within 25% of the
 #     committed BENCH_baseline.json (tussle perfgate)
 # Regenerates BENCH_baseline.json and appends one line to
@@ -52,8 +51,23 @@ TMP="${TMPDIR:-/tmp}"
 report="$TMP/tussle-report.json"
 trace="$TMP/tussle-trace.json"
 
+# expect CODE CMD...: run CMD with its output discarded; fail unless it
+# exits CODE
+expect() {
+  local want=$1 code
+  shift
+  set +e
+  "$@" >/dev/null 2>&1
+  code=$?
+  set -e
+  if [ "$code" -ne "$want" ]; then
+    echo "FAIL: '$*' exited $code, expected $want" >&2
+    exit 1
+  fi
+}
+
 echo "== battery smoke (report + trace) =="
-"$BENCH" --experiments-only --seq --report "$report" --trace "$trace" \
+"$CLI" experiments --seq --report "$report" --trace "$trace" \
   > "$TMP/tussle-battery-obs.out"
 "$CLI" report "$report"
 # structural JSON validation of the trace is covered by test_obs; here
@@ -61,44 +75,56 @@ echo "== battery smoke (report + trace) =="
 grep -q '"traceEvents"' "$trace"
 echo "trace written: $(wc -c < "$trace") bytes"
 
+echo "== behaviour lock: battery stdout digest =="
+# an intended change to the battery output re-blesses this digest and
+# states its reason in CHANGES.md
+"$CLI" experiments --seq > "$TMP/tussle-battery-plain.out"
+got=$(sha256sum < "$TMP/tussle-battery-plain.out" | cut -d' ' -f1)
+if [ "$got" != "$(cat scripts/battery.sha256)" ]; then
+  echo "FAIL: battery stdout digest $got differs from scripts/battery.sha256" >&2
+  exit 1
+fi
+echo "battery stdout matches the committed digest"
+
 echo "== telemetry does not perturb stdout =="
-"$BENCH" --experiments-only --seq > "$TMP/tussle-battery-plain.out"
-"$BENCH" --experiments-only --seq --trace "$trace" > "$TMP/tussle-battery-traced.out"
+"$CLI" experiments --seq --trace "$trace" > "$TMP/tussle-battery-traced.out"
 cmp "$TMP/tussle-battery-plain.out" "$TMP/tussle-battery-traced.out"
 echo "battery stdout byte-identical with tracing enabled"
 
-echo "== --domains rejects garbage with exit 2 =="
-for cmd in "$BENCH --experiments-only" "$CLI experiments"; do
-  for bad in nope 0 -3; do
-    set +e
-    # --domains=X form: cmdliner would otherwise read a bare "-3" as an
-    # unknown option; bench/main parses both forms the same way
-    $cmd --domains="$bad" >/dev/null 2>&1
-    code=$?
-    set -e
-    if [ "$code" -ne 2 ]; then
-      echo "FAIL: '$cmd --domains=$bad' exited $code, expected 2" >&2
-      exit 1
-    fi
-  done
+echo "== garbage flag values and unknown options exit 2 =="
+# --flag=X form: cmdliner would otherwise read a bare "-3" as an option
+for flag in --domains=nope --domains=0 --domains=-3 \
+            --timeout-s=nope --timeout-s=0 --timeout-s=-1 \
+            --fault-seed=nope --fault-seed=1.5; do
+  expect 2 "$CLI" experiments "$flag"
 done
-echo "both entry points exit 2 on bad --domains"
-
-echo "== --timeout-s / --fault-seed reject garbage with exit 2 =="
-for cmd in "$BENCH --experiments-only" "$CLI experiments"; do
-  for flag in "--timeout-s=nope" "--timeout-s=0" "--timeout-s=-1" \
-              "--fault-seed=nope" "--fault-seed=1.5"; do
-    set +e
-    $cmd "$flag" >/dev/null 2>&1
-    code=$?
-    set -e
-    if [ "$code" -ne 2 ]; then
-      echo "FAIL: '$cmd $flag' exited $code, expected 2" >&2
-      exit 1
-    fi
-  done
+for flag in --chaos-seed=nope --chaos-seed=1.5 \
+            --chaos-runs=nope --chaos-runs=0 --chaos-runs=-3; do
+  expect 2 "$CLI" chaos "$flag"
 done
-echo "both entry points exit 2 on bad --timeout-s / --fault-seed"
+for flag in --sweep-seed=nope --sweep-seed=1.5 \
+            --sweep-runs=nope --sweep-runs=1 --sweep-runs=-3 \
+            --alpha=nope --alpha=0 --alpha=1 --alpha=2 --timeout-s=0; do
+  expect 2 "$CLI" sweep "$flag"
+done
+expect 2 "$CLI" sweep -e E2   # no sweep surface
+expect 2 "$CLI" sweep -e EZZ  # unknown id
+for flag in --backend=bogus --budget=nope --budget=0 --budget=-3 \
+            --sweep-seed=nope --sweep-seed=1.5 --domains=0; do
+  expect 2 "$CLI" search "$flag"
+done
+expect 2 "$CLI" perfgate BENCH_baseline.json "$report" --tolerance=nope
+expect 2 "$CLI" market --providers=0
+expect 2 "$CLI" scenario --rounds=nope
+for sub in experiments chaos sweep search explain trends report perfgate \
+           scenario market policy; do
+  expect 2 "$CLI" "$sub" --no-such-option
+done
+for arg in --experiments-only --bench-only --seq anything; do
+  expect 2 "$BENCH" "$arg"
+done
+{ "$BENCH" --seq 2>&1 || true; } | grep -q 'tussle experiments'
+echo "every subcommand exits 2 on bad values and unknown options; bench takes no arguments"
 
 echo "== fault battery smoke (E28, seeded) =="
 "$CLI" experiments -e E28 --fault-seed 7 > "$TMP/tussle-e28-seed7a.out"
@@ -124,16 +150,8 @@ grep -q 'FAILED (timeout' "$TMP/tussle-e99.out"
 echo "hung experiment reported as FAILED (timeout) without hanging the run"
 
 echo "== tussle report error paths exit 2 =="
-set +e
-"$CLI" report "$TMP/definitely-missing-report.json" >/dev/null 2>&1
-missing=$?
-"$CLI" report / >/dev/null 2>&1
-unreadable=$?
-set -e
-if [ "$missing" -ne 2 ] || [ "$unreadable" -ne 2 ]; then
-  echo "FAIL: report error paths exited $missing/$unreadable, expected 2/2" >&2
-  exit 1
-fi
+expect 2 "$CLI" report "$TMP/definitely-missing-report.json"
+expect 2 "$CLI" report /
 echo "report prints a clean error and exits 2 on missing/unreadable files"
 
 echo "== chaos smoke (fixed seed, domain-invariant, zero violations) =="
@@ -150,39 +168,28 @@ echo "== chaos corpus replay =="
 echo "committed reproducers all replay clean"
 
 echo "== flight recorder off: battery byte-identical across domains =="
-"$BENCH" --experiments-only --domains 1 > "$TMP/tussle-battery-dom1.out"
-"$BENCH" --experiments-only --domains 2 > "$TMP/tussle-battery-dom2.out"
-"$BENCH" --experiments-only --domains 4 > "$TMP/tussle-battery-dom4.out"
+"$CLI" experiments --domains 1 > "$TMP/tussle-battery-dom1.out"
+"$CLI" experiments --domains 2 > "$TMP/tussle-battery-dom2.out"
+"$CLI" experiments --domains 4 > "$TMP/tussle-battery-dom4.out"
 cmp "$TMP/tussle-battery-dom1.out" "$TMP/tussle-battery-dom2.out"
 cmp "$TMP/tussle-battery-dom1.out" "$TMP/tussle-battery-dom4.out"
 echo "battery stdout byte-identical with the recorder disabled"
 
 echo "== tussle explain on every committed reproducer =="
 for plan in chaos/corpus/*.plan; do
-  "$CLI" explain "$plan" --domains 1 > "$TMP/tussle-explain-d1.out"
-  "$CLI" explain "$plan" --domains 2 > "$TMP/tussle-explain-d2.out"
-  "$CLI" explain "$plan" --domains 4 > "$TMP/tussle-explain-d4.out"
-  cmp "$TMP/tussle-explain-d1.out" "$TMP/tussle-explain-d2.out"
-  cmp "$TMP/tussle-explain-d1.out" "$TMP/tussle-explain-d4.out"
-  grep -q 'DROPPED at\|flows of interest: none' "$TMP/tussle-explain-d1.out"
+  "$CLI" explain "$plan" > "$TMP/tussle-explain-a.out"
+  "$CLI" explain "$plan" > "$TMP/tussle-explain-b.out"
+  cmp "$TMP/tussle-explain-a.out" "$TMP/tussle-explain-b.out"
+  grep -q 'DROPPED at\|flows of interest: none' "$TMP/tussle-explain-a.out"
   "$CLI" explain "$plan" --json "$TMP/tussle-flowtrace.json" > /dev/null
   grep -q '"schema": "tussle.flow-trace/1"' "$TMP/tussle-flowtrace.json"
   echo "explain ok: $(basename "$plan")"
 done
 echo "== tussle explain error paths exit 2 =="
-for args in "$TMP/definitely-missing.plan" "README.md" \
-            "chaos/corpus --domains=0"; do
-  set +e
-  # shellcheck disable=SC2086
-  "$CLI" explain $args >/dev/null 2>&1
-  code=$?
-  set -e
-  if [ "$code" -ne 2 ]; then
-    echo "FAIL: 'tussle explain $args' exited $code, expected 2" >&2
-    exit 1
-  fi
-done
-echo "explain exits 2 on missing/unparseable plans and bad --domains"
+expect 2 "$CLI" explain "$TMP/definitely-missing.plan"
+expect 2 "$CLI" explain README.md
+expect 2 "$CLI" explain chaos/corpus
+echo "explain exits 2 on missing/unparseable plans"
 
 echo "== tussle trends round-trips its history =="
 hist="$TMP/tussle-history.jsonl"
@@ -192,34 +199,10 @@ rm -f "$hist"
   > "$TMP/tussle-trends.out"
 grep -q '(2 entries)' "$TMP/tussle-trends.out"
 grep -q 'E1' "$TMP/tussle-trends.out"
-set +e
-"$CLI" trends "$TMP/definitely-missing-report.json" --history "$hist" \
-  >/dev/null 2>&1
-missing=$?
+expect 2 "$CLI" trends "$TMP/definitely-missing-report.json" --history "$hist"
 echo "not json" > "$TMP/tussle-bad-history.jsonl"
-"$CLI" trends "$report" --history "$TMP/tussle-bad-history.jsonl" \
-  >/dev/null 2>&1
-corrupt=$?
-set -e
-if [ "$missing" -ne 2 ] || [ "$corrupt" -ne 2 ]; then
-  echo "FAIL: trends error paths exited $missing/$corrupt, expected 2/2" >&2
-  exit 1
-fi
+expect 2 "$CLI" trends "$report" --history "$TMP/tussle-bad-history.jsonl"
 echo "trends appends, round-trips, and exits 2 on parse errors"
-
-echo "== --chaos-seed / --chaos-runs reject garbage with exit 2 =="
-for flag in "--chaos-seed=nope" "--chaos-seed=1.5" \
-            "--chaos-runs=nope" "--chaos-runs=0" "--chaos-runs=-3"; do
-  set +e
-  "$CLI" chaos "$flag" >/dev/null 2>&1
-  code=$?
-  set -e
-  if [ "$code" -ne 2 ]; then
-    echo "FAIL: 'tussle chaos $flag' exited $code, expected 2" >&2
-    exit 1
-  fi
-done
-echo "tussle chaos exits 2 on bad --chaos-seed / --chaos-runs"
 
 echo "== sweep smoke (statistical verdicts, domain-invariant) =="
 sweep_report="$TMP/tussle-sweep-report.json"
@@ -248,34 +231,6 @@ if grep -q ' FAIL ' "$TMP/tussle-sweep-d1.out"; then
 fi
 "$CLI" report "$sweep_report" | grep -q 'valid tussle.sweep-report/1'
 echo "sweep verdicts pass; artifact schema-valid and byte-identical across --domains 1/2/4"
-
-echo "== sweep flags reject garbage with exit 2 on both entry points =="
-for cmd in "$BENCH" "$CLI sweep"; do
-  for flag in "--sweep-seed=nope" "--sweep-seed=1.5" \
-              "--sweep-runs=nope" "--sweep-runs=1" "--sweep-runs=-3" \
-              "--alpha=nope" "--alpha=0" "--alpha=1" "--alpha=2"; do
-    set +e
-    # shellcheck disable=SC2086
-    $cmd "$flag" >/dev/null 2>&1
-    code=$?
-    set -e
-    if [ "$code" -ne 2 ]; then
-      echo "FAIL: '$cmd $flag' exited $code, expected 2" >&2
-      exit 1
-    fi
-  done
-done
-set +e
-"$CLI" sweep -e E2 >/dev/null 2>&1
-no_surface=$?
-"$CLI" sweep -e EZZ >/dev/null 2>&1
-unknown=$?
-set -e
-if [ "$no_surface" -ne 2 ] || [ "$unknown" -ne 2 ]; then
-  echo "FAIL: sweep -e error paths exited $no_surface/$unknown, expected 2/2" >&2
-  exit 1
-fi
-echo "both entry points exit 2 on bad sweep flags; -e rejects unsweepable ids"
 
 echo "== search smoke (both backends, domain-invariant) =="
 # the corpus replay step above already re-runs every committed
@@ -306,49 +261,13 @@ for backend in mutate exhaust; do
   "$CLI" report "$search_report" | grep -q 'valid tussle.search-report/1'
   echo "search[$backend] clean; artifact schema-valid and byte-identical across --domains 1/2/4"
 done
-"$BENCH" --search --backend exhaust --budget 48 --sweep-seed 42 --seq \
-  > "$TMP/tussle-bench-search.out"
-grep -q 'Search report' "$TMP/tussle-bench-search.out"
-echo "bench --search runs the same engine"
-
-echo "== search flags reject garbage with exit 2 on both entry points =="
-for flag in "--backend=bogus" "--budget=nope" "--budget=0" "--budget=-3" \
-            "--sweep-seed=nope" "--sweep-seed=1.5" "--domains=0"; do
-  set +e
-  "$CLI" search "$flag" >/dev/null 2>&1
-  code=$?
-  set -e
-  if [ "$code" -ne 2 ]; then
-    echo "FAIL: 'tussle search $flag' exited $code, expected 2" >&2
-    exit 1
-  fi
-done
-for flag in "--backend=bogus" "--budget=nope" "--budget=0"; do
-  set +e
-  "$BENCH" --search "$flag" >/dev/null 2>&1
-  code=$?
-  set -e
-  if [ "$code" -ne 2 ]; then
-    echo "FAIL: 'bench --search $flag' exited $code, expected 2" >&2
-    exit 1
-  fi
-done
-echo "both entry points exit 2 on bad search flags"
 
 echo "== perf gate: E1/E3 vs committed baseline =="
 # gate the battery-smoke report (same binary, same run) against the
 # committed baseline before overwriting it below: a market hot-path
 # regression beyond 25% on wall clock or GC allocation fails CI
 "$CLI" perfgate BENCH_baseline.json "$report" --ids E1,E3 --tolerance 0.25
-set +e
-"$CLI" perfgate BENCH_baseline.json "$report" --tolerance=nope >/dev/null 2>&1
-code=$?
-set -e
-if [ "$code" -ne 2 ]; then
-  echo "FAIL: 'tussle perfgate --tolerance=nope' exited $code, expected 2" >&2
-  exit 1
-fi
-echo "perf gate passed; garbage --tolerance exits 2"
+echo "perf gate passed"
 
 echo "== append battery smoke to the committed benchmark history =="
 # deltas vs the committed baseline, before it is overwritten below
@@ -356,7 +275,7 @@ echo "== append battery smoke to the committed benchmark history =="
   --baseline BENCH_baseline.json
 
 echo "== regenerate BENCH_baseline.json =="
-"$BENCH" --experiments-only --seq --report BENCH_baseline.json > /dev/null
+"$CLI" experiments --seq --report BENCH_baseline.json > /dev/null
 "$CLI" report BENCH_baseline.json
 
 echo "CI OK"

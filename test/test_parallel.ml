@@ -40,9 +40,9 @@ let test_pool_default_domains () =
   Alcotest.(check bool) "within [1,8]" true (d >= 1 && d <= 8)
 
 let test_domains_of_string () =
-  (* Shared by bench/main.ml and the CLI's --domains flag: garbage must
-     produce an error (the entry points exit 2), never a silent
-     fall-through to the default domain count. *)
+  (* Backs the CLI's --domains flag: garbage must produce an error (the
+     CLI exits 2), never a silent fall-through to the default domain
+     count. *)
   let ok s expected =
     match Pool.domains_of_string s with
     | Ok d -> Alcotest.(check int) (Printf.sprintf "parse %S" s) expected d
@@ -102,7 +102,7 @@ let test_failed_isolated () =
 (* ---------- determinism across domain counts ---------- *)
 
 let test_parallel_battery_identical () =
-  (* cheap subset of the battery; bench/main.ml exercises all 28 *)
+  (* cheap subset of the battery; `tussle experiments` runs all 30 *)
   let batch =
     List.map fast [ "E4"; "E6"; "E7"; "E8"; "E19"; "E23"; "E25"; "E26" ]
   in

@@ -132,7 +132,7 @@ let test_random_sweep_misses_planted () =
   (* a 200-plan random sweep, derived exactly like the chaos sweep
      derives its candidates, never trips the planted bug *)
   for i = 0 to 199 do
-    let rng = Rng.create (42 + (7919 * (i + 1))) in
+    let rng = Rng.create (Rng.index_seed ~seed:42 i) in
     let episodes = 1 + Rng.int rng 4 in
     let plan =
       Plan.random rng ~links:planted.Scenario.links

@@ -5,6 +5,7 @@
    experiment, not the sweep). *)
 
 module Driver = Tussle_sweep.Driver
+module Rng = Tussle_prelude.Rng
 module Sweep_report = Tussle_obs.Sweep_report
 module Json = Tussle_obs.Json
 module Invariant = Tussle_chaos.Invariant
@@ -44,8 +45,8 @@ let run_synthetic ?domains ?(runs = 8) () =
 (* ---------- determinism ---------- *)
 
 let test_seed_derivation () =
-  Alcotest.(check int) "stride" (1031 + 7919) (Driver.run_seed ~seed:1031 0);
-  Alcotest.(check int) "index 4" (1031 + (7919 * 5)) (Driver.run_seed ~seed:1031 4)
+  Alcotest.(check int) "stride" (1031 + 7919) (Rng.index_seed ~seed:1031 0);
+  Alcotest.(check int) "index 4" (1031 + (7919 * 5)) (Rng.index_seed ~seed:1031 4)
 
 let test_driver_deterministic_across_domains () =
   let render (r, errs) =
@@ -79,7 +80,7 @@ let test_samples_are_seed_derived () =
   | [ e ] ->
     let x = List.find (fun m -> m.Sweep_report.name = "x") e.Sweep_report.metrics in
     let expected =
-      Array.init 5 (fun i -> float_of_int (Driver.run_seed ~seed:1031 i mod 97))
+      Array.init 5 (fun i -> float_of_int (Rng.index_seed ~seed:1031 i mod 97))
     in
     Alcotest.(check (array (float 0.0))) "samples in run order" expected
       x.Sweep_report.samples
