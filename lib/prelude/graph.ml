@@ -54,35 +54,156 @@ let map_edges g fn =
   iter_edges g (fun u v e -> add_edge h u v (fn e));
   h
 
-let dijkstra g ~weight ~source =
-  check_node g source "Graph.dijkstra";
-  let dist = Array.make g.n infinity in
-  let pred = Array.make g.n (-1) in
-  let visited = Array.make g.n false in
-  let frontier = Pqueue.create () in
-  dist.(source) <- 0.0;
-  Pqueue.push frontier 0.0 source;
-  let rec loop () =
-    match Pqueue.pop frontier with
-    | None -> ()
-    | Some (d, u) ->
-      if not visited.(u) then begin
-        visited.(u) <- true;
-        let relax (v, e) =
-          let w = weight e in
+(* ---------- the SPF kernel ---------- *)
+
+type 'e graph = 'e t
+
+module Spf = struct
+  (* A CSR snapshot of the costs plus the kernel's scratch.  Row [u] is
+     [dst.(off.(u)) .. dst.(off.(u+1) - 1)] with the matching [cost]
+     entries, in reverse insertion order, as the list adjacency holds
+     them.  Relaxation order decides equal-cost ties, so changing it
+     would change the paths the simulator picks.  The heap is
+     struct-of-arrays with capacity m + 1: a node is pushed only on a
+     strict improvement, which each edge makes at most once per run
+     (its tail is settled once), plus the source. *)
+  type t = {
+    n : int;
+    off : int array;
+    dst : int array;
+    cost : float array;
+    keys : float array;
+    seqs : int array;
+    nodes : int array;
+    mutable size : int;
+    mutable next_seq : int;
+    settled : Bytes.t;
+  }
+
+  let snapshot (g : _ graph) ~cost =
+    let off = Array.make (g.n + 1) 0 in
+    for u = 0 to g.n - 1 do
+      off.(u + 1) <- off.(u) + List.length g.adj.(u)
+    done;
+    let m = off.(g.n) in
+    let dst = Array.make m 0 and costs = Array.make m 0.0 in
+    for u = 0 to g.n - 1 do
+      List.iteri
+        (fun k (v, e) ->
+          let w = cost u v e in
           if w < 0.0 then invalid_arg "Graph.dijkstra: negative weight";
-          let nd = d +. w in
+          dst.(off.(u) + k) <- v;
+          costs.(off.(u) + k) <- w)
+        g.adj.(u)
+    done;
+    {
+      n = g.n;
+      off;
+      dst;
+      cost = costs;
+      keys = Array.make (m + 1) 0.0;
+      seqs = Array.make (m + 1) 0;
+      nodes = Array.make (m + 1) 0;
+      size = 0;
+      next_seq = 0;
+      settled = Bytes.make g.n '\000';
+    }
+
+  let node_count s = s.n
+
+  let iter_costs s f =
+    for u = 0 to s.n - 1 do
+      for i = s.off.(u + 1) - 1 downto s.off.(u) do
+        f u s.dst.(i) s.cost.(i)
+      done
+    done
+
+  (* Heap order is (key, push seq), so ties pop FIFO as in [Pqueue].
+     A pushed entry carries the largest seq so far, so it moves above
+     a parent only on a strictly smaller key. *)
+  let[@inline] push s key node =
+    let seq = s.next_seq in
+    s.next_seq <- seq + 1;
+    let i = ref s.size in
+    s.size <- !i + 1;
+    while !i > 0 && key < s.keys.((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      s.keys.(!i) <- s.keys.(p);
+      s.seqs.(!i) <- s.seqs.(p);
+      s.nodes.(!i) <- s.nodes.(p);
+      i := p
+    done;
+    s.keys.(!i) <- key;
+    s.seqs.(!i) <- seq;
+    s.nodes.(!i) <- node
+
+  let[@inline] before s i key seq =
+    let k = s.keys.(i) in
+    k < key || (k = key && s.seqs.(i) < seq)
+
+  let pop_root s =
+    let last = s.size - 1 in
+    s.size <- last;
+    if last > 0 then begin
+      let key = s.keys.(last) and seq = s.seqs.(last)
+      and node = s.nodes.(last) in
+      let i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        let c =
+          if l + 1 < last && before s (l + 1) s.keys.(l) s.seqs.(l) then l + 1
+          else l
+        in
+        if c < last && before s c key seq then begin
+          s.keys.(!i) <- s.keys.(c);
+          s.seqs.(!i) <- s.seqs.(c);
+          s.nodes.(!i) <- s.nodes.(c);
+          i := c
+        end
+        else sifting := false
+      done;
+      s.keys.(!i) <- key;
+      s.seqs.(!i) <- seq;
+      s.nodes.(!i) <- node
+    end
+
+  let run s ~source ~dist ~pred ~order =
+    if source < 0 || source >= s.n then
+      invalid_arg "Graph.Spf.run: node out of range";
+    Array.fill dist 0 s.n infinity;
+    Array.fill pred 0 s.n (-1);
+    Bytes.fill s.settled 0 s.n '\000';
+    s.size <- 0;
+    s.next_seq <- 0;
+    dist.(source) <- 0.0;
+    push s 0.0 source;
+    let count = ref 0 in
+    while s.size > 0 do
+      let d = s.keys.(0) and u = s.nodes.(0) in
+      pop_root s;
+      if Bytes.get s.settled u = '\000' then begin
+        Bytes.set s.settled u '\001';
+        order.(!count) <- u;
+        incr count;
+        for i = s.off.(u) to s.off.(u + 1) - 1 do
+          let v = s.dst.(i) in
+          let nd = d +. s.cost.(i) in
           if nd < dist.(v) then begin
             dist.(v) <- nd;
             pred.(v) <- u;
-            Pqueue.push frontier nd v
+            push s nd v
           end
-        in
-        List.iter relax g.adj.(u)
-      end;
-      loop ()
-  in
-  loop ();
+        done
+      end
+    done;
+    !count
+end
+
+let dijkstra g ~weight ~source =
+  check_node g source "Graph.dijkstra";
+  let spf = Spf.snapshot g ~cost:(fun _ _ e -> weight e) in
+  let dist = Array.make g.n infinity and pred = Array.make g.n (-1) in
+  ignore (Spf.run spf ~source ~dist ~pred ~order:(Array.make g.n 0));
   (dist, pred)
 
 let shortest_path g ~weight u v =

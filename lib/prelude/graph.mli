@@ -36,12 +36,63 @@ val fold_edges : 'e t -> init:'a -> f:('a -> int -> int -> 'e -> 'a) -> 'a
 
 val map_edges : 'e t -> ('e -> 'f) -> 'f t
 
+(** {1 Shortest paths}
+
+    Every shortest-path query runs one single-source SPF kernel,
+    {!Spf.run}, over a compressed-sparse-row snapshot of the edge
+    costs. *)
+
+module Spf : sig
+  type 'e graph := 'e t
+
+  type t
+  (** A snapshot of a graph's edge costs in CSR form (int-indexed
+      offset, destination and cost arrays) plus the kernel's
+      preallocated struct-of-arrays heap.  Row [u] lists [u]'s
+      out-edges in {e reverse} insertion order, the order the kernel
+      relaxes them in.  Later changes to the graph do not reach the
+      snapshot.  The heap is reused by every {!run}, so a snapshot
+      belongs to one domain at a time. *)
+
+  val snapshot : 'e graph -> cost:(int -> int -> 'e -> float) -> t
+  (** [snapshot g ~cost] reads [cost u v label] once per edge, in
+      O(n + m).  Raises [Invalid_argument "Graph.dijkstra: negative
+      weight"] if any cost is negative, reached from a source or not.
+      An [infinity] cost masks an edge: it never relaxes a distance. *)
+
+  val node_count : t -> int
+
+  val iter_costs : t -> (int -> int -> float -> unit) -> unit
+  (** Every [(u, v, cost)] in the order {!iter_edges} visits the graph's
+      edges. *)
+
+  val run :
+    t ->
+    source:int ->
+    dist:float array ->
+    pred:int array ->
+    order:int array ->
+    int
+  (** [run s ~source ~dist ~pred ~order] is Dijkstra from [source].  The
+      three arrays need at least [node_count s] cells.  It overwrites
+      [dist] (distance, [infinity] if unreachable) and [pred]
+      (predecessor, [-1] for the source and unreachable nodes), writes
+      the settled nodes into [order] in settle order (the source first,
+      and every node after its predecessor), and returns how many were
+      settled.  The heap
+      breaks key ties FIFO by push, and [pred] changes only on a strict
+      improvement, so every tie goes to the edge relaxed first.  A run
+      allocates nothing.  Raises [Invalid_argument] on an out-of-range
+      source or a short array. *)
+end
+
 val dijkstra :
   'e t -> weight:('e -> float) -> source:int -> float array * int array
 (** [dijkstra g ~weight ~source] returns [(dist, pred)]: distance from
     [source] to every node ([infinity] if unreachable) and predecessor node
     ([-1] for the source and unreachable nodes).  [weight] must be
-    non-negative; a negative weight raises [Invalid_argument]. *)
+    non-negative on every edge; a negative weight raises
+    [Invalid_argument].  One {!Spf.snapshot} and one {!Spf.run}. *)
 
 val shortest_path :
   'e t -> weight:('e -> float) -> int -> int -> (float * int list) option

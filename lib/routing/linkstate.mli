@@ -4,7 +4,18 @@
     The tussle-relevant property (§IV-C): a link-state protocol "requires
     that everyone export his link costs" — internal choices are fully
     visible, and there is no per-neighbour policy lever.  The routing
-    visibility experiment contrasts this with path-vector. *)
+    visibility experiment contrasts this with path-vector.
+
+    As in the protocol, each router computes its own routes: a table
+    takes one snapshot of the flooded costs ({!Tussle_prelude.Graph.Spf}),
+    and a source's shortest-path tree is computed the first time
+    {!next_hop}, {!path} or {!distance} asks about that source, then
+    kept.  Each computed tree counts once in the [routing.spf.trees]
+    metric.
+
+    A table fills its trees in place and shares one kernel heap, so it
+    belongs to one simulation, which means one domain: do not query the
+    same table from two domains. *)
 
 type t
 
@@ -12,17 +23,18 @@ val compute :
   Tussle_netsim.Topology.edge Tussle_prelude.Graph.t ->
   metric:[ `Latency | `Hops ] ->
   t
-(** Run Dijkstra from every node over the flooded map. *)
+(** Snapshot the flooded map, in O(n + m).  No tree is computed yet. *)
 
 val compute_live :
   ?down:(int * int) list ->
   Tussle_netsim.Link.t Tussle_prelude.Graph.t ->
   metric:[ `Latency | `Hops ] ->
   t
-(** Recompute the map from a {e live} link graph, withdrawing every
-    link between a pair in [down] (either orientation) — the
-    incremental step a self-healing control plane runs after failure
-    detection ({!Selfheal}).  Withdrawn links are absent from
+(** Snapshot the map from a {e live} link graph, withdrawing every
+    link between a pair in [down] (either orientation) — the step a
+    self-healing control plane runs after failure detection
+    ({!Selfheal}).  Like {!compute}, this is O(n + m) and computes
+    no tree.  Withdrawn links are absent from
     {!visible_link_costs}, and destinations reachable only through
     them become unreachable ([next_hop = None]).  [down] reflects what
     the control plane has {e detected}, not ground truth: a link that
@@ -30,7 +42,8 @@ val compute_live :
     routed over. *)
 
 val next_hop : t -> node:int -> dst:int -> int option
-(** Forwarding table lookup. *)
+(** Forwarding table lookup: O(1) and allocation-free once [node]'s
+    tree is computed. *)
 
 val distance : t -> src:int -> dst:int -> float option
 

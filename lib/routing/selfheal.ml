@@ -108,6 +108,7 @@ type t = {
   net : Net.t;
   until : float;
   watches : watch list;
+  neighbours : int list array;
   mutable table : Linkstate.t;
   mutable recompute_pending : bool;
   mutable reconvergences : int;
@@ -127,30 +128,42 @@ type t = {
   mutable probes_failed : int;
 }
 
+(* Link objects seen for one adjacency, each list newest first and
+   deduplicated by identity. *)
+type seen = {
+  mutable all : Link.t list;
+  mutable fwd : Link.t list;  (* u -> v, u <= v *)
+  mutable bwd : Link.t list;  (* v -> u *)
+}
+
 let build_watches links =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
+  let add l ls = if List.memq l ls then ls else l :: ls in
   Graph.iter_edges links (fun a b l ->
       let key = if a <= b then (a, b) else (b, a) in
-      (match Hashtbl.find_opt tbl key with
-      | None ->
-        Hashtbl.replace tbl key [ l ];
-        order := key :: !order
-      | Some ls -> if not (List.memq l ls) then Hashtbl.replace tbl key (l :: ls)));
-  let directed u v =
-    let acc = ref [] in
-    Graph.iter_edges links (fun a b l ->
-        if a = u && b = v && not (List.memq l !acc) then acc := l :: !acc);
-    List.rev !acc
-  in
+      let s =
+        match Hashtbl.find_opt tbl key with
+        | Some s -> s
+        | None ->
+          let s = { all = []; fwd = []; bwd = [] } in
+          Hashtbl.replace tbl key s;
+          order := key :: !order;
+          s
+      in
+      s.all <- add l s.all;
+      (* a self-loop carries both directions *)
+      if a <= b then s.fwd <- add l s.fwd;
+      if a >= b then s.bwd <- add l s.bwd);
   List.rev_map
     (fun ((u, v) as key) ->
+      let s = Hashtbl.find tbl key in
       {
         u;
         v;
-        links = List.rev (Hashtbl.find tbl key);
-        uv_links = directed u v;
-        vu_links = directed v u;
+        links = List.rev s.all;
+        uv_links = List.rev s.fwd;
+        vu_links = List.rev s.bwd;
         missed = 0;
         declared_down = false;
         dp_down = false;
@@ -162,6 +175,16 @@ let build_watches links =
         flag_cleared_at = neg_infinity;
       })
     !order
+
+(* Every node's sorted in- and out-neighbours, deduplicated.  The link
+   graph is fixed once [Net.create] has run, so [attach] builds this
+   once. *)
+let neighbour_lists g =
+  let nbrs = Array.make (Graph.node_count g) [] in
+  Graph.iter_edges g (fun a b _ ->
+      nbrs.(a) <- b :: nbrs.(a);
+      nbrs.(b) <- a :: nbrs.(b));
+  Array.map (List.sort_uniq compare) nbrs
 
 let node_quarantined t node =
   match Hashtbl.find_opt t.quarantines node with
@@ -343,13 +366,6 @@ let dp_sample_adjacencies t (dp : data_plane) engine =
 
 (* ---------- transit probes (Byzantine-node detection) ---------- *)
 
-let neighbors g node =
-  let acc = ref [] in
-  Graph.iter_edges g (fun a b _ ->
-      if a = node && not (List.mem b !acc) then acc := b :: !acc;
-      if b = node && not (List.mem a !acc) then acc := a :: !acc);
-  List.sort compare !acc
-
 let quarantine_for t node =
   match Hashtbl.find_opt t.quarantines node with
   | Some q -> q
@@ -419,12 +435,10 @@ let judge_probe t (dp : data_plane) engine ~probe_id ~sent ~via ~u ~v =
     end
 
 let dp_send_transit_probes t (dp : data_plane) engine =
-  let g = Net.links t.net in
-  let n = Graph.node_count g in
   let now = Engine.now engine in
-  for via = 0 to n - 1 do
+  for via = 0 to Array.length t.neighbours - 1 do
     if not (node_quarantined t via) then begin
-      match neighbors g via with
+      match t.neighbours.(via) with
       | u :: rest when rest <> [] ->
         let v = List.nth rest (Rng.int t.probe_rng (List.length rest)) in
         let probe_id = t.next_probe_id in
@@ -527,6 +541,7 @@ let attach ?(config = default_config) ~until engine net =
       net;
       until;
       watches = build_watches (Net.links net);
+      neighbours = neighbour_lists (Net.links net);
       table;
       recompute_pending = false;
       reconvergences = 0;

@@ -3,8 +3,10 @@
 # the single entry point (bench/main.exe only runs the microbenchmarks):
 #   - dune build && dune runtest
 #   - battery run with --report/--trace, schema validation of both
-#   - behaviour lock: battery stdout matches the committed digest
-#     scripts/battery.sha256
+#   - behaviour lock: battery stdout, the fixed-seed chaos sweep stdout
+#     and every corpus narrative of tussle explain match the committed
+#     digests scripts/battery.sha256, scripts/chaos.sha256 and
+#     scripts/explain.sha256
 #   - telemetry must not perturb battery stdout
 #   - garbage flag values and unknown options exit 2 on every
 #     subcommand; bench/main.exe exits 2 when given any argument
@@ -162,6 +164,14 @@ cmp "$TMP/tussle-chaos-d1.out" "$TMP/tussle-chaos-d2.out"
 cmp "$TMP/tussle-chaos-d1.out" "$TMP/tussle-chaos-d4.out"
 grep -q '60/60 runs clean, 0 violation' "$TMP/tussle-chaos-d1.out"
 echo "chaos sweep clean and byte-identical across --domains 1/2/4"
+# behaviour lock: an intended change re-blesses scripts/chaos.sha256
+# and states its reason in CHANGES.md
+got=$(sha256sum < "$TMP/tussle-chaos-d1.out" | cut -d' ' -f1)
+if [ "$got" != "$(cat scripts/chaos.sha256)" ]; then
+  echo "FAIL: chaos stdout digest $got differs from scripts/chaos.sha256" >&2
+  exit 1
+fi
+echo "chaos stdout matches the committed digest"
 
 echo "== chaos corpus replay =="
 "$CLI" chaos --replay chaos/corpus
@@ -176,8 +186,11 @@ cmp "$TMP/tussle-battery-dom1.out" "$TMP/tussle-battery-dom4.out"
 echo "battery stdout byte-identical with the recorder disabled"
 
 echo "== tussle explain on every committed reproducer =="
+: > "$TMP/tussle-explain.sha256"
 for plan in chaos/corpus/*.plan; do
   "$CLI" explain "$plan" > "$TMP/tussle-explain-a.out"
+  echo "$(basename "$plan") $(sha256sum < "$TMP/tussle-explain-a.out" | cut -d' ' -f1)" \
+    >> "$TMP/tussle-explain.sha256"
   "$CLI" explain "$plan" > "$TMP/tussle-explain-b.out"
   cmp "$TMP/tussle-explain-a.out" "$TMP/tussle-explain-b.out"
   grep -q 'DROPPED at\|flows of interest: none' "$TMP/tussle-explain-a.out"
@@ -185,6 +198,14 @@ for plan in chaos/corpus/*.plan; do
   grep -q '"schema": "tussle.flow-trace/1"' "$TMP/tussle-flowtrace.json"
   echo "explain ok: $(basename "$plan")"
 done
+# behaviour lock: one "PLAN DIGEST" line per reproducer; an intended
+# change re-blesses scripts/explain.sha256 and states its reason in
+# CHANGES.md
+if ! diff scripts/explain.sha256 "$TMP/tussle-explain.sha256"; then
+  echo "FAIL: explain narrative digests differ from scripts/explain.sha256" >&2
+  exit 1
+fi
+echo "every explain narrative matches the committed digest"
 echo "== tussle explain error paths exit 2 =="
 expect 2 "$CLI" explain "$TMP/definitely-missing.plan"
 expect 2 "$CLI" explain README.md

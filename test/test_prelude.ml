@@ -369,6 +369,16 @@ let test_graph_negative_weight () =
     (Invalid_argument "Graph.dijkstra: negative weight") (fun () ->
       ignore (Graph.dijkstra g ~weight:Fun.id ~source:0))
 
+(* The snapshot reads every edge, so a negative weight is rejected even
+   on an edge no search from the source would reach. *)
+let test_graph_negative_weight_unreached () =
+  let g = Graph.create 3 in
+  Graph.add_edge g 0 1 1.0;
+  Graph.add_edge g 2 1 (-1.0);
+  Alcotest.check_raises "negative, unreached"
+    (Invalid_argument "Graph.dijkstra: negative weight") (fun () ->
+      ignore (Graph.dijkstra g ~weight:Fun.id ~source:0))
+
 let test_graph_bfs_connected () =
   let g = Graph.create 4 in
   Graph.add_undirected g 0 1 ();
@@ -589,6 +599,8 @@ let () =
           Alcotest.test_case "dijkstra shortcut" `Quick test_graph_dijkstra_shortcut;
           Alcotest.test_case "unreachable" `Quick test_graph_unreachable;
           Alcotest.test_case "negative weight" `Quick test_graph_negative_weight;
+          Alcotest.test_case "negative weight, unreached" `Quick
+            test_graph_negative_weight_unreached;
           Alcotest.test_case "bfs/connected" `Quick test_graph_bfs_connected;
           Alcotest.test_case "transpose" `Quick test_graph_transpose;
           Alcotest.test_case "map edges" `Quick test_graph_map_edges;

@@ -4,10 +4,13 @@
 
 module Rng = Tussle_prelude.Rng
 module Graph = Tussle_prelude.Graph
+module Pqueue = Tussle_prelude.Pqueue
+module Metrics = Tussle_obs.Metrics
 module Engine = Tussle_netsim.Engine
 module Net = Tussle_netsim.Net
 module Topology = Tussle_netsim.Topology
 module Packet = Tussle_netsim.Packet
+module Link = Tussle_netsim.Link
 module Traffic = Tussle_netsim.Traffic
 module Middlebox = Tussle_netsim.Middlebox
 module Linkstate = Tussle_routing.Linkstate
@@ -57,6 +60,181 @@ let test_linkstate_exposure () =
     (List.length (Linkstate.visible_link_costs ls));
   check_float "exposure 1.0" 1.0
     (Visibility.linkstate_exposure ls ~total_links:(Graph.edge_count g))
+
+(* ---------- differential oracle: CSR SPF vs list-based Dijkstra ---------- *)
+
+(* The list-based Dijkstra the CSR kernel replaced, kept as the
+   reference: a [Pqueue] frontier (FIFO among equal keys), out-edges
+   relaxed in reverse insertion order, [pred] set only on a strict
+   improvement. *)
+let ref_dijkstra g ~weight ~source =
+  let n = Graph.node_count g in
+  let dist = Array.make n infinity in
+  let pred = Array.make n (-1) in
+  let visited = Array.make n false in
+  let frontier = Pqueue.create () in
+  dist.(source) <- 0.0;
+  Pqueue.push frontier 0.0 source;
+  let rec loop () =
+    match Pqueue.pop frontier with
+    | None -> ()
+    | Some (d, u) ->
+      if not visited.(u) then begin
+        visited.(u) <- true;
+        let relax (v, e) =
+          let w = weight e in
+          if w < 0.0 then invalid_arg "Graph.dijkstra: negative weight";
+          let nd = d +. w in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            pred.(v) <- u;
+            Pqueue.push frontier nd v
+          end
+        in
+        List.iter relax (List.rev (Graph.succ g u))
+      end;
+      loop ()
+  in
+  loop ();
+  (dist, pred)
+
+(* The all-pairs link-state table the on-demand one replaced. *)
+let ref_linkstate ~down links ~metric =
+  let norm (u, v) = if u <= v then (u, v) else (v, u) in
+  let dead = List.map norm down in
+  let g = Graph.create (Graph.node_count links) in
+  Graph.iter_edges links (fun u v l ->
+      let cost =
+        if List.mem (norm (u, v)) dead then infinity
+        else match metric with `Latency -> Link.latency l | `Hops -> 1.0
+      in
+      Graph.add_edge g u v cost);
+  let n = Graph.node_count g in
+  let trees = Array.init n (fun src -> ref_dijkstra g ~weight:Fun.id ~source:src) in
+  let costs =
+    Graph.fold_edges g ~init:[] ~f:(fun acc u v w ->
+        if Float.is_finite w then (u, v, w) :: acc else acc)
+    |> List.rev
+  in
+  (trees, costs)
+
+let ref_path (dist, pred) ~src ~dst =
+  if dist.(dst) = infinity then None
+  else begin
+    let rec build node acc =
+      if node = src then src :: acc else build pred.(node) (node :: acc)
+    in
+    Some (build dst [])
+  end
+
+let ref_next_hop tree ~node ~dst =
+  if node = dst then None
+  else
+    match ref_path tree ~src:node ~dst with
+    | Some (_ :: hop :: _) -> Some hop
+    | Some _ | None -> None
+
+(* Random multigraphs: few distinct weights so ties decide most paths,
+   with zero weights, [infinity] masks and self-loops in the mix. *)
+let multigraph_gen weights =
+  QCheck2.Gen.(
+    let* n = int_range 1 9 in
+    let* edges =
+      list_size (int_range 0 (3 * n))
+        (triple (int_bound (n - 1)) (int_bound (n - 1)) (oneofl weights))
+    in
+    let* sources = shuffle_l (List.init n Fun.id) in
+    return (n, edges, sources))
+
+let print_multigraph (n, edges, sources) =
+  Printf.sprintf "n=%d edges=[%s] sources=[%s]" n
+    (String.concat "; "
+       (List.map (fun (u, v, w) -> Printf.sprintf "%d->%d:%g" u v w) edges))
+    (String.concat "; " (List.map string_of_int sources))
+
+let same_floats a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> Float.equal x y) a b
+
+let qcheck_spf_matches_reference =
+  QCheck2.Test.make ~name:"CSR SPF matches list Dijkstra (dist, pred)"
+    ~count:500 ~print:print_multigraph
+    (multigraph_gen [ 0.0; 1.0; 1.0; 1.0; 2.0; 0.5; infinity ])
+    (fun (n, edges, sources) ->
+      let g = Graph.create n in
+      List.iter (fun (u, v, w) -> Graph.add_edge g u v w) edges;
+      (* one snapshot serves every source, queried in random order *)
+      let spf = Graph.Spf.snapshot g ~cost:(fun _ _ w -> w) in
+      let dist = Array.make n nan and pred = Array.make n 7 in
+      let order = Array.make n (-1) in
+      List.for_all
+        (fun source ->
+          let rd, rp = ref_dijkstra g ~weight:Fun.id ~source in
+          let settled = Graph.Spf.run spf ~source ~dist ~pred ~order in
+          let gd, gp = Graph.dijkstra g ~weight:Fun.id ~source in
+          let reached = Array.fold_left (fun k d -> if d < infinity then k + 1 else k) 0 rd in
+          same_floats rd dist && rp = pred && same_floats rd gd && rp = gp
+          && settled = reached && order.(0) = source)
+        sources)
+
+let link_graph_gen =
+  QCheck2.Gen.(
+    let* ((n, _, _) as g) = multigraph_gen [ 1.0; 1.0; 2.0; 3.0 ] in
+    (* a down pair may name no node: it must withdraw nothing *)
+    let* down =
+      list_size (int_range 0 3) (pair (int_range (-1) n) (int_range (-1) n))
+    in
+    let* hops = bool in
+    return (g, down, hops))
+
+let qcheck_linkstate_matches_reference =
+  QCheck2.Test.make
+    ~name:"on-demand link-state matches all-pairs reference" ~count:300
+    ~print:(fun (g, down, hops) ->
+      Printf.sprintf "%s down=[%s] hops=%b" (print_multigraph g)
+        (String.concat "; "
+           (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) down))
+        hops)
+    link_graph_gen
+    (fun ((n, edges, sources), down, hops) ->
+      let links = Graph.create n in
+      List.iter
+        (fun (u, v, w) ->
+          Graph.add_edge links u v
+            (Link.make ~latency:w ~bandwidth_bps:1e6 ()))
+        edges;
+      let metric = if hops then `Hops else `Latency in
+      let ls = Linkstate.compute_live ~down links ~metric in
+      let trees, costs = ref_linkstate ~down links ~metric in
+      let dsts = List.init n Fun.id in
+      List.for_all
+        (fun src ->
+          let tree = trees.(src) in
+          List.for_all
+            (fun dst ->
+              Linkstate.next_hop ls ~node:src ~dst
+              = ref_next_hop tree ~node:src ~dst
+              && Linkstate.path ls ~src ~dst = ref_path tree ~src ~dst
+              && Linkstate.distance ls ~src ~dst
+                 = (let d = (fst tree).(dst) in
+                    if d = infinity then None else Some d))
+            dsts)
+        sources
+      && Linkstate.visible_link_costs ls = costs)
+
+let test_linkstate_trees_on_first_use () =
+  let was_enabled = Metrics.enabled () in
+  Metrics.enable ();
+  let trees = Metrics.counter "routing.spf.trees" in
+  let before = Metrics.local_count trees in
+  let built () = Metrics.local_count trees - before in
+  let ls = Linkstate.compute (Topology.line 5) ~metric:`Hops in
+  Alcotest.(check int) "no tree at compute" 0 (built ());
+  ignore (Linkstate.next_hop ls ~node:0 ~dst:4);
+  ignore (Linkstate.path ls ~src:0 ~dst:3);
+  Alcotest.(check int) "one tree per source" 1 (built ());
+  ignore (Linkstate.distance ls ~src:4 ~dst:0);
+  Alcotest.(check int) "second source" 2 (built ());
+  if not was_enabled then Metrics.disable ()
 
 (* ---------- Pathvector ---------- *)
 
@@ -573,6 +751,13 @@ let () =
           Alcotest.test_case "best relay" `Quick test_overlay_best_relay;
           Alcotest.test_case "improvement" `Quick test_overlay_improvement;
           Alcotest.test_case "recovery" `Quick test_overlay_recovery;
+        ] );
+      ( "spf-oracle",
+        [
+          QCheck_alcotest.to_alcotest qcheck_spf_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_linkstate_matches_reference;
+          Alcotest.test_case "trees on first use" `Quick
+            test_linkstate_trees_on_first_use;
         ] );
       ( "selfheal",
         [
