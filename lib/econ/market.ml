@@ -83,8 +83,11 @@ let salop_price cfg =
    none).  [est] is a closed-form estimate from the uniform spacing;
    the bounded fix-up loops make the answer exact against the actual
    grid values (the last point is pinned to the ceiling, and float
-   rounding can push the estimate off by one). *)
-let[@inline] last_lt grid g est t =
+   rounding can push the estimate off by one).  The annotations keep it
+   monomorphic: unannotated, [grid.(i) < t] is a polymorphic compare,
+   which boxes [t] and calls [caml_lessthan] on every step of a scan
+   run once per consumer, per provider, per period. *)
+let[@inline] last_lt (grid : float array) g est (t : float) =
   let i = ref (if est < -1 then -1 else if est > g - 1 then g - 1 else est) in
   while !i + 1 < g && Array.unsafe_get grid (!i + 1) < t do
     incr i
@@ -266,7 +269,14 @@ let run rng cfg =
         acc.(1) <- acc.(1) +. (Array.unsafe_get prices bj -. cost)
       end
     done;
-    price_history.(period) <- Stats.mean prices;
+    (* [Stats.mean prices] by hand, same left-to-right sum: a float
+       returned across a module boundary is boxed, and the period loop
+       must not allocate *)
+    let sum = ref 0.0 in
+    for k = 0 to m - 1 do
+      sum := !sum +. Array.unsafe_get prices k
+    done;
+    price_history.(period) <- !sum /. float_of_int m;
     stable := not (!price_moved || !subs_moved)
     end
   done;

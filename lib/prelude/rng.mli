@@ -6,7 +6,18 @@
     64-bit, splittable, and good enough for simulation workloads. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 state in an 8-byte
+    buffer, read and written in place (little-endian).  A draw updates
+    the buffer and allocates no new state.
+
+    [bits], [int], [int_in], [bool], [bernoulli] and [weighted_index]
+    return immediates and allocate nothing.  [int64], [float],
+    [uniform] and the float samplers compute unboxed, but their result
+    is boxed when it crosses a module boundary, unless the compiler
+    inlines the call ([int64] and [float] carry an inline attribute;
+    dune's default dev profile compiles with [-opaque], which turns
+    cross-module inlining off).  [create], [split] and [copy] allocate
+    the 8-byte state. *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed.  Equal seeds

@@ -2,24 +2,31 @@ module Rng = Tussle_prelude.Rng
 
 type observation = (int * int) list
 
-let simulate rng ~path ~p ~packets =
+let simulate rng ~(path : int list) ~p ~packets =
   if p <= 0.0 || p >= 1.0 then invalid_arg "Traceback.simulate: p not in (0,1)";
   if packets <= 0 then invalid_arg "Traceback.simulate: no packets";
   if path = [] then invalid_arg "Traceback.simulate: empty path";
-  let counts = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace counts r 0) path;
+  let routers = Array.of_list path in
+  let len = Array.length routers in
+  (* [slot.(i)] is the position of the first occurrence of router
+     [routers.(i)], so a router listed twice shares one count *)
+  let slot =
+    Array.init len (fun i ->
+        let j = ref 0 in
+        while routers.(!j) <> routers.(i) do incr j done;
+        !j)
+  in
+  let counts = Array.make len 0 in
   for _ = 1 to packets do
     (* the packet travels attacker -> victim; each router overwrites the
        mark with probability p *)
-    let mark = ref None in
-    List.iter (fun r -> if Rng.bernoulli rng p then mark := Some r) path;
-    match !mark with
-    | Some r ->
-      Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r))
-    | None -> ()
+    let mark = ref (-1) in
+    for i = 0 to len - 1 do
+      if Rng.bernoulli rng p then mark := Array.unsafe_get slot i
+    done;
+    if !mark >= 0 then counts.(!mark) <- counts.(!mark) + 1
   done;
-  List.map (fun r -> (r, Option.value ~default:0 (Hashtbl.find_opt counts r))) path
-  |> List.sort compare
+  List.mapi (fun i r -> (r, counts.(slot.(i)))) path |> List.sort compare
 
 let reconstruct obs =
   (* victim-closest routers are marked most; the attacker-to-victim

@@ -183,6 +183,33 @@ let prop_population_scale_stable =
       let large = Market.run (Rng.create seed) (cfg 4000) in
       Float.abs (tail_mean small -. tail_mean large) <= 0.5)
 
+(* ---------- allocation ---------- *)
+
+(* The period loop allocates nothing: doubling [periods] adds only the
+   returned price history's one word per period.  At switching cost 1
+   six providers keep moving their prices, so no period is replayed by
+   the steady-state shortcut and each one runs the whole loop. *)
+let test_period_loop_allocation_free () =
+  let cfg periods =
+    {
+      Market.default_config with
+      n_consumers = 20_000;
+      n_providers = 6;
+      switching_cost = 1.0;
+      periods;
+    }
+  in
+  let h = (run ~seed:1 (cfg 60)).Market.price_history in
+  Alcotest.(check bool) "prices still move after period 30" true
+    (Array.exists (fun p -> p <> h.(30)) (Array.sub h 31 29));
+  let words periods =
+    Alloc.minor_words (fun () ->
+        ignore (Sys.opaque_identity (run ~seed:1 (cfg periods))))
+    -. float_of_int periods
+  in
+  Alcotest.(check (float 0.0)) "minor words beyond the price history"
+    (words 30) (words 60)
+
 let () =
   Alcotest.run "market"
     [
@@ -214,4 +241,9 @@ let () =
         ] );
       ( "scale",
         [ QCheck_alcotest.to_alcotest prop_population_scale_stable ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "period loop allocation-free" `Quick
+            test_period_loop_allocation_free;
+        ] );
     ]

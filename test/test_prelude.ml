@@ -178,6 +178,95 @@ let test_rng_weighted_zero_tail () =
       (Rng.weighted_index rng [| 0.0; 5.0; 0.0 |])
   done
 
+(* Golden streams: every draw function, 16 outputs per seed, against
+   the table in [Rng_golden] (generated from the int64-record
+   generator).  A change of state layout, inlining or loop shape must
+   leave every stream bit-identical. *)
+
+let rng_golden_seeds = [| 0; 1; 1031; -7; max_int |]
+
+(* Each stream renders the first 16 outputs of one draw, in order from
+   one generator, as space-separated text (floats in exact hex). *)
+let rng_streams =
+  let n = 16 in
+  let ints f t = String.concat " " (List.init n (fun _ -> string_of_int (f t))) in
+  let floats f t =
+    String.concat " " (List.init n (fun _ -> Printf.sprintf "%h" (f t)))
+  in
+  let int64s f t =
+    String.concat " " (List.init n (fun _ -> Int64.to_string (f t)))
+  in
+  let bools f t =
+    String.init n (fun _ -> if f t then '1' else '0')
+  in
+  let perm f t = String.concat " " (Array.to_list (Array.map string_of_int (f t))) in
+  [
+    ("int64", int64s Rng.int64);
+    ("bits", ints Rng.bits);
+    ("int 1", ints (fun t -> Rng.int t 1));
+    ("int 7", ints (fun t -> Rng.int t 7));
+    ("int 10", ints (fun t -> Rng.int t 10));
+    ("int 2^61+1", ints (fun t -> Rng.int t ((1 lsl 61) + 1)));
+    ("int_in -5 5", ints (fun t -> Rng.int_in t (-5) 5));
+    ("float 1", floats (fun t -> Rng.float t 1.0));
+    ("float 2.5", floats (fun t -> Rng.float t 2.5));
+    ("uniform -1 3", floats (fun t -> Rng.uniform t (-1.0) 3.0));
+    ("bool", bools Rng.bool);
+    ("bernoulli 0.3", bools (fun t -> Rng.bernoulli t 0.3));
+    ("gaussian 1 2", floats (fun t -> Rng.gaussian t ~mu:1.0 ~sigma:2.0));
+    ("exponential 2", floats (fun t -> Rng.exponential t ~rate:2.0));
+    ("pareto 1.5 3", floats (fun t -> Rng.pareto t ~alpha:1.5 ~x_min:3.0));
+    ( "weighted_index",
+      ints (fun t -> Rng.weighted_index t [| 0.0; 1.0; 0.0; 2.5; 0.5; 0.0 |]) );
+    ("shuffle", perm (fun t -> let a = Array.init n Fun.id in Rng.shuffle t a; a));
+    ("sample", perm (fun t -> Rng.sample t n (Array.init 40 Fun.id)));
+    ("split", int64s (fun t -> Rng.int64 (Rng.split t)));
+    ( "copy",
+      int64s (fun t ->
+          let c = Rng.copy t in
+          ignore (Rng.int64 c);
+          Rng.int64 c) );
+  ]
+
+let test_rng_golden_streams () =
+  Alcotest.(check (list string))
+    "one golden row set per stream"
+    (List.map fst rng_streams) (List.map fst Rng_golden.streams);
+  List.iter
+    (fun (name, render) ->
+      let rows = List.assoc name Rng_golden.streams in
+      Array.iteri
+        (fun i seed ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, seed %d" name seed)
+            rows.(i) (render (Rng.create seed)))
+        rng_golden_seeds)
+    rng_streams
+
+(* The draws that return immediates allocate nothing: the state is read
+   and written in place and no float or int64 is boxed on the way. *)
+let test_rng_draws_allocation_free () =
+  let t = Rng.create 1031 in
+  let w = [| 0.0; 1.0; 0.0; 2.5; 0.5; 0.0 |] and p = 0.3 in
+  List.iter
+    (fun (name, draw) ->
+      let words =
+        Alloc.minor_words (fun () ->
+            for _ = 1 to 10_000 do
+              ignore (Sys.opaque_identity (draw ()))
+            done)
+      in
+      Alcotest.(check (float 0.0))
+        (name ^ ": minor words over 10,000 draws") 0.0 words)
+    [
+      ("bits", fun () -> Rng.bits t);
+      ("int", fun () -> Rng.int t 7);
+      ("int_in", fun () -> Rng.int_in t (-5) 5);
+      ("bool", fun () -> Bool.to_int (Rng.bool t));
+      ("bernoulli", fun () -> Bool.to_int (Rng.bernoulli t p));
+      ("weighted_index", fun () -> Rng.weighted_index t w);
+    ]
+
 (* ---------- Stats ---------- *)
 
 let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |])
@@ -564,6 +653,9 @@ let () =
             test_rng_weighted_index_pinned;
           Alcotest.test_case "weighted zero tail" `Quick
             test_rng_weighted_zero_tail;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
+          Alcotest.test_case "draws allocation-free" `Quick
+            test_rng_draws_allocation_free;
         ] );
       ( "stats",
         [

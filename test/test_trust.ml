@@ -271,6 +271,54 @@ let test_traceback_validation () =
       ignore (Traceback.simulate rng ~path:[] ~p:0.5 ~packets:10))
 
 
+(* The Hashtbl/option implementation that [Traceback.simulate]
+   replaced, kept as the reference for the differential test. *)
+let ref_simulate rng ~path ~p ~packets =
+  let counts = Hashtbl.create 16 in
+  List.iter (fun r -> Hashtbl.replace counts r 0) path;
+  for _ = 1 to packets do
+    let mark = ref None in
+    List.iter (fun r -> if Rng.bernoulli rng p then mark := Some r) path;
+    match !mark with
+    | Some r ->
+      Hashtbl.replace counts r
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts r))
+    | None -> ()
+  done;
+  List.map (fun r -> (r, Option.value ~default:0 (Hashtbl.find_opt counts r))) path
+  |> List.sort compare
+
+(* Same observations and same draw count: the next draw after the call
+   agrees too.  Router ids come from a small range, so most paths list
+   some router twice. *)
+let qcheck_traceback_matches_reference =
+  QCheck2.Test.make ~name:"simulate matches the Hashtbl reference" ~count:300
+    ~print:(fun (seed, path, p, packets) ->
+      Printf.sprintf "seed=%d path=[%s] p=%h packets=%d" seed
+        (String.concat "; " (List.map string_of_int path))
+        p packets)
+    QCheck2.Gen.(
+      quad int
+        (list_size (int_range 1 10) (int_range 0 6))
+        (float_range 1e-6 (1.0 -. 1e-6))
+        (int_range 1 500))
+    (fun (seed, path, p, packets) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let got = Traceback.simulate a ~path ~p ~packets in
+      let want = ref_simulate b ~path ~p ~packets in
+      got = want && Rng.int64 a = Rng.int64 b)
+
+let test_traceback_allocation_flat () =
+  let words packets =
+    Alloc.minor_words (fun () ->
+        ignore
+          (Sys.opaque_identity
+             (Traceback.simulate (Rng.create 5) ~path:[ 4; 9; 2; 9; 7 ]
+                ~p:0.3 ~packets)))
+  in
+  Alcotest.(check (float 0.0)) "same minor words at 10 and 10,000 packets"
+    (words 10) (words 10_000)
+
 (* ---------- Firewall control ---------- *)
 
 module Fc = Tussle_trust.Firewall_control
@@ -403,6 +451,9 @@ let () =
           Alcotest.test_case "mark distribution" `Quick
             test_traceback_mark_distribution;
           Alcotest.test_case "validation" `Quick test_traceback_validation;
+          QCheck_alcotest.to_alcotest qcheck_traceback_matches_reference;
+          Alcotest.test_case "allocation flat in packets" `Quick
+            test_traceback_allocation_flat;
         ] );
       ( "mediator",
         [
