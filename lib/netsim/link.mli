@@ -12,7 +12,9 @@
 
 type t
 
-type fault =
+type verdict =
+  | Sent  (** accepted; {!arrival} holds the far-end arrival time *)
+  | Queue_full  (** drop-tail: the queue was full *)
   | Down  (** the link is administratively/physically down *)
   | Loss  (** dropped on the wire by an injected loss episode *)
   | Corrupt  (** transmitted but damaged; discarded on arrival *)
@@ -20,6 +22,9 @@ type fault =
       (** dropped by a gray-failure episode: the data plane eats the
           packet while {!is_up} — what control-plane hellos sample —
           keeps reporting healthy *)
+(** What became of an offered packet.  Every constructor is constant,
+    so a verdict is an immediate integer: returning one allocates
+    nothing. *)
 
 val make :
   ?queue_capacity:int -> latency:float -> bandwidth_bps:float -> unit -> t
@@ -29,26 +34,35 @@ val make :
 
 val latency : t -> float
 
-val bandwidth_bps : t -> float
-
 val transmission_delay : t -> int -> float
 (** [transmission_delay l bytes] = serialization time of [bytes]. *)
 
-val try_enqueue :
-  t -> now:float -> int -> [ `Sent of float | `Dropped | `Faulted of fault ]
+val try_enqueue : t -> now:float -> int -> verdict
 (** [try_enqueue l ~now bytes] models a packet offered to the link at
-    [now].  [`Sent arrival] gives the time the packet reaches the far
-    end (propagation latency plus any injected {!set_extra_latency});
-    [`Dropped] means the queue was full; [`Faulted f] means an injected
-    fault killed it — [Down]/[Loss] without consuming capacity,
-    [Corrupt] after occupying the queue and the wire (the bits were
-    transmitted, they just arrive damaged).
+    [now].  [Sent] means it went out: {!arrival} then gives the time
+    it reaches the far end (propagation latency plus any injected
+    {!set_extra_latency}).  [Queue_full] means the queue was full;
+    the four fault verdicts mean an injected fault killed it —
+    [Down]/[Loss]/[Gray] without consuming capacity, [Corrupt] after
+    occupying the queue and the wire (the bits were transmitted, they
+    just arrive damaged).
 
     The link keeps internal state (busy-until time and queue
     occupancy), so calls must be made in non-decreasing [now] order;
     calling with a [now] earlier than a previous call raises
     [Invalid_argument] instead of silently corrupting the busy-until
-    accounting. *)
+    accounting.
+
+    Allocation contract: a call allocates nothing, except when the
+    departure buffer grows.  It starts empty and doubles from 8 slots
+    up to the queue capacity, so a link allocates at most
+    O(queue capacity) words over its lifetime. *)
+
+val arrival : t -> float
+(** Far-end arrival time of the last packet {!try_enqueue} reported
+    [Sent].  Read from a flat float field; only a caller that cannot
+    inline it across modules (the dev profile's [-opaque]) receives the
+    float boxed. *)
 
 val queued : t -> now:float -> int
 (** Packets currently occupying the queue at time [now]. *)
@@ -68,8 +82,6 @@ val packets_dropped : t -> int
 (** Drop-tail (queue-full) drops only; fault drops are counted
     separately by {!fault_drops}. *)
 
-val reset_counters : t -> unit
-
 (** {1 Fault-injection state}
 
     Set by {!Tussle_fault.Inject} at episode boundaries; harmless to
@@ -82,7 +94,7 @@ val is_up : t -> bool
     — use {!probe} for data-plane evidence. *)
 
 val set_up : t -> bool -> unit
-(** Take the link down (every offered packet becomes [`Faulted Down])
+(** Take the link down (every offered packet becomes [Down])
     or bring it back up.  Queue state is preserved across a down
     window; packets already serialized keep their departure times. *)
 
@@ -106,12 +118,8 @@ val set_gray_loss_prob : t -> float -> unit
     detection cannot see the fault.  Same preconditions as
     {!set_loss_prob}. *)
 
-val gray_loss_prob : t -> float
-
 val set_extra_latency : t -> float -> unit
 (** Additive propagation latency (a latency-spike episode); >= 0. *)
-
-val extra_latency : t -> float
 
 val fault_drops : t -> int
 (** Packets killed by [Down] or [Loss]. *)

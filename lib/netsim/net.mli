@@ -8,7 +8,20 @@
     Loose source routes are honoured: a packet with waypoints is routed
     toward each waypoint in turn using the same forwarding tables, which
     is exactly how user-selected provider-level routes ride on top of
-    provider-selected routing (§V-A4). *)
+    provider-selected routing (§V-A4).
+
+    {b Allocation contract.}  Forwarding a packet one hop costs the
+    hop-list cons of {!Packet.record_hop} plus the boxed floats the
+    engine's clock and the link's arrival time pass through; it
+    allocates no closure, option or event record.  Each packet's
+    transit state and its arrival action are built once, at
+    {!inject}, and rescheduled at every hop; the next hop's link comes
+    from an out-neighbour index built once by {!create}; the TTL check
+    reads a hop counter.  Completion conses one outcome onto
+    {!outcomes} and keeps per-reason tallies, so {!delivered_count},
+    {!lost_count} and {!losses_by_reason} never walk the outcome list.
+    Packets are not pooled: {!outcomes} and the {!on_complete}
+    observers keep them. *)
 
 type drop_reason =
   | No_route  (** forwarding returned no next hop *)
@@ -38,7 +51,10 @@ type t
 
 val create :
   ?ttl:int -> Link.t Tussle_prelude.Graph.t -> forwarding -> t
-(** [create links fwd].  [ttl] (default 64) bounds hop count. *)
+(** [create links fwd].  [ttl] (default 64) bounds hop count.  The
+    link graph must not gain edges afterwards: [create] indexes, for
+    every node and out-neighbour, the first link inserted between
+    them — the one forwarding uses. *)
 
 val set_forwarding : t -> forwarding -> unit
 (** Swap the forwarding function mid-run.  Packets already in flight
@@ -48,7 +64,8 @@ val set_forwarding : t -> forwarding -> unit
 
 val add_middlebox : t -> int -> Middlebox.t -> unit
 (** Attach a middlebox at a node; multiple middleboxes run in attachment
-    order. *)
+    order.  Raises [Invalid_argument] if the node is not in the link
+    graph, as do {!middleboxes_at} and {!set_blackhole}. *)
 
 val middleboxes_at : t -> int -> Middlebox.t list
 
@@ -58,8 +75,6 @@ val set_blackhole : t -> int -> bool -> unit
     which never transit it — but silently discards every packet it
     would forward for others (source-route waypoints included, which
     is exactly how transit probes unmask it). *)
-
-val is_blackhole : t -> int -> bool
 
 val inject : t -> Engine.t -> Packet.t -> unit
 (** Offer a packet to the network at the engine's current time.  The
@@ -91,9 +106,6 @@ val lost_count : t -> int
 val delivery_ratio : t -> float
 (** Delivered / completed; [0.] when nothing completed. *)
 
-val mean_latency : t -> float option
-(** Mean end-to-end latency over delivered packets. *)
-
 val losses_by_reason : t -> (string * int) list
 (** Aggregated loss counts keyed by a stable reason label.  Fault
     reasons use the labels ["link-down"], ["fault-loss"],
@@ -107,6 +119,8 @@ val losses_by_reason : t -> (string * int) list
     [net.drops.blackholed]), attributing drops to their fault. *)
 
 val clear_outcomes : t -> unit
+(** Forget every completed packet: {!outcomes} becomes empty and the
+    delivered, lost and per-reason counts restart from zero. *)
 
 val links : t -> Link.t Tussle_prelude.Graph.t
 

@@ -39,9 +39,17 @@ let find_edge g u v =
   (* adj is reversed, so the last match in it is the first inserted. *)
   last_match None g.adj.(u)
 
+(* [adj] holds each row newest first: visit the tail before the head
+   to get insertion order without copying the row. *)
 let iter_edges g f =
+  let rec row u = function
+    | [] -> ()
+    | (v, e) :: rest ->
+      row u rest;
+      f u v e
+  in
   for u = 0 to g.n - 1 do
-    List.iter (fun (v, e) -> f u v e) (List.rev g.adj.(u))
+    row u g.adj.(u)
   done
 
 let fold_edges g ~init ~f =

@@ -31,6 +31,8 @@ val find_edge : 'e t -> int -> int -> 'e option
 (** First edge label from [u] to [v], if any. *)
 
 val iter_edges : 'e t -> (int -> int -> 'e -> unit) -> unit
+(** Every edge: nodes in increasing order, each node's out-edges in
+    insertion order.  Allocates nothing beyond its own closure. *)
 
 val fold_edges : 'e t -> init:'a -> f:('a -> int -> int -> 'e -> 'a) -> 'a
 

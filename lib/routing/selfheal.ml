@@ -63,24 +63,80 @@ let verified_config =
    so observers (and tests) can tell them from scenario traffic. *)
 let probe_id_base = 900_000_000
 
+module Window = struct
+  (* The last [len] samples of each direction sit in a ring ending just
+     before [pos], with their running sums.  Every sample offers the
+     same number of probes, so the offered count is
+     [len * probes]. *)
+  type t = {
+    uv : int array;
+    vu : int array;
+    mutable pos : int;
+    mutable len : int;
+    mutable uv_sum : int;
+    mutable vu_sum : int;
+  }
+
+  let create ~window =
+    { uv = Array.make window 0; vu = Array.make window 0; pos = 0; len = 0;
+      uv_sum = 0; vu_sum = 0 }
+
+  let push w ~uv ~vu =
+    let window = Array.length w.uv in
+    let k = w.pos in
+    if w.len = window then begin
+      w.uv_sum <- w.uv_sum - w.uv.(k);
+      w.vu_sum <- w.vu_sum - w.vu.(k)
+    end
+    else w.len <- w.len + 1;
+    w.uv.(k) <- uv;
+    w.vu.(k) <- vu;
+    w.uv_sum <- w.uv_sum + uv;
+    w.vu_sum <- w.vu_sum + vu;
+    w.pos <- (if k + 1 = window then 0 else k + 1)
+
+  (* Inlined so the detector compares the ratio unboxed. *)
+  let[@inline] worst w ~probes =
+    if w.len = 0 then 1.0
+    else begin
+      let offered = float_of_int (w.len * probes) in
+      let r_uv = float_of_int w.uv_sum /. offered in
+      let r_vu = float_of_int w.vu_sum /. offered in
+      (* not [Float.min]: a call that returns a boxed float *)
+      if r_vu < r_uv then r_vu else r_uv
+    end
+
+  let rec all_deliver links rng i =
+    i >= Array.length links
+    || (Link.probe links.(i) rng && all_deliver links rng (i + 1))
+
+  let sample rng links n =
+    if Array.length links = 0 then n
+    else begin
+      let ok = ref 0 in
+      for _ = 1 to n do
+        if all_deliver links rng 0 then incr ok
+      done;
+      !ok
+    end
+end
+
 (* One adjacency under watch: every physical link object carrying
    traffic between u and v (both directions; deduplicated in case an
    undirected label is shared), plus the per-direction subsets the
    data-plane detector probes separately — a unidirectional fault
-   shows up in exactly one of them. *)
+   shows up in exactly one of them.  Arrays, scanned by hand: the
+   samplers run every tick for every watch and must not allocate. *)
 type watch = {
   u : int;
   v : int;
-  links : Link.t list;
-  uv_links : Link.t list;
-  vu_links : Link.t list;
+  links : Link.t array;
+  uv_links : Link.t array;
+  vu_links : Link.t array;
   mutable missed : int;
   mutable declared_down : bool;  (* the hello detector's verdict *)
   mutable dp_down : bool;  (* the data-plane detector's verdict *)
-  (* sliding windows of (delivered, offered) probe samples, newest
-     first, one per direction *)
-  mutable uv_samples : (int * int) list;
-  mutable vu_samples : (int * int) list;
+  win : Window.t;  (* the data-plane detector's probe windows *)
   (* flap damping: an exponentially decaying penalty, charged per
      believed-state flip; the adjacency is suppressed (held down)
      while the penalty sits above the suppress threshold *)
@@ -102,6 +158,22 @@ type quarantine = {
   mutable fails : int;  (* consecutive failed transit probes *)
 }
 
+(* A transit probe's judgment, as its completion left it. *)
+type judgment = Unjudged | Pass | Fail | Inconclusive
+
+(* One slot for a transit probe in flight.  [deadline] is the probe's
+   deadline action, built once at attach and reused by every probe that
+   takes the slot. *)
+type probe = {
+  mutable id : int;  (* -1: the slot is free *)
+  mutable via : int;
+  mutable src : int;
+  mutable dst : int;
+  mutable sent : float;
+  mutable judgment : judgment;
+  mutable deadline : Engine.t -> unit;
+}
+
 type t = {
   cfg : config;
   engine : Engine.t;
@@ -118,14 +190,12 @@ type t = {
   mutable suppressions : int;
   (* data-plane state (unused when cfg.data_plane = None) *)
   probe_rng : Rng.t;
-  quarantines : (int, quarantine) Hashtbl.t;
-  (* outstanding transit probes: probe id -> transit node *)
-  outstanding : (int, int) Hashtbl.t;
-  (* completed transit probes: probe id -> judgment *)
-  completed : (int, [ `Pass | `Fail | `Inconclusive ]) Hashtbl.t;
+  quarantines : quarantine array;  (* by node *)
+  (* Outstanding transit probes, keyed by
+     [(probe id - probe_id_base) mod slot count]; there are more slots
+     than probes can be in flight at once (see [probe_slots]). *)
+  probes : probe array;
   mutable next_probe_id : int;
-  mutable probes_sent : int;
-  mutable probes_failed : int;
 }
 
 (* Link objects seen for one adjacency, each list newest first and
@@ -136,7 +206,7 @@ type seen = {
   mutable bwd : Link.t list;  (* v -> u *)
 }
 
-let build_watches links =
+let build_watches ~window links =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
   let add l ls = if List.memq l ls then ls else l :: ls in
@@ -155,20 +225,32 @@ let build_watches links =
       (* a self-loop carries both directions *)
       if a <= b then s.fwd <- add l s.fwd;
       if a >= b then s.bwd <- add l s.bwd);
+  (* the lists are newest first *)
+  let arr ls =
+    let a = Array.of_list ls in
+    let n = Array.length a in
+    for i = 0 to (n / 2) - 1 do
+      let x = a.(i) in
+      a.(i) <- a.(n - 1 - i);
+      a.(n - 1 - i) <- x
+    done;
+    a
+  in
+  (* hello-only watches never push a sample: they can share one window *)
+  let empty = Window.create ~window:0 in
   List.rev_map
     (fun ((u, v) as key) ->
       let s = Hashtbl.find tbl key in
       {
         u;
         v;
-        links = List.rev s.all;
-        uv_links = List.rev s.fwd;
-        vu_links = List.rev s.bwd;
+        links = arr s.all;
+        uv_links = arr s.fwd;
+        vu_links = arr s.bwd;
         missed = 0;
         declared_down = false;
         dp_down = false;
-        uv_samples = [];
-        vu_samples = [];
+        win = (if window = 0 then empty else Window.create ~window);
         penalty = 0.0;
         penalty_time = 0.0;
         suppressed = false;
@@ -186,10 +268,7 @@ let neighbour_lists g =
       nbrs.(b) <- a :: nbrs.(b));
   Array.map (List.sort_uniq compare) nbrs
 
-let node_quarantined t node =
-  match Hashtbl.find_opt t.quarantines node with
-  | Some q -> q.active
-  | None -> false
+let node_quarantined t node = t.quarantines.(node).active
 
 let believed_down t =
   List.filter_map
@@ -260,26 +339,30 @@ let note_flip t w engine =
     else request_recompute t engine
 
 (* Called from the hello tick (the one timer that always runs): let a
-   suppressed watch out of hold-down once its penalty has decayed. *)
+   suppressed watch out of hold-down once its penalty has decayed.  The
+   per-tick scans over the watches are hand-written recursions, so they
+   allocate no closure. *)
+let rec release_watches t (d : damping) engine = function
+  | [] -> ()
+  | w :: rest ->
+    if w.suppressed then begin
+      let now = Engine.now engine in
+      decay_penalty d w now;
+      if w.penalty <= d.reuse then begin
+        w.suppressed <- false;
+        w.flag_cleared_at <- now;
+        if Flight.enabled () then
+          Flight.emit ~sim_t:now ~flow:Flight.control_flow ~node:w.u
+            ~peer:w.v ~detail:"reuse" ~value:w.penalty "heal-damp";
+        request_recompute t engine
+      end
+    end;
+    release_watches t d engine rest
+
 let damping_release t engine =
   match t.cfg.damping with
   | None -> ()
-  | Some d ->
-    let now = Engine.now engine in
-    List.iter
-      (fun w ->
-        if w.suppressed then begin
-          decay_penalty d w now;
-          if w.penalty <= d.reuse then begin
-            w.suppressed <- false;
-            w.flag_cleared_at <- now;
-            if Flight.enabled () then
-              Flight.emit ~sim_t:now ~flow:Flight.control_flow ~node:w.u
-                ~peer:w.v ~detail:"reuse" ~value:w.penalty "heal-damp";
-            request_recompute t engine
-          end
-        end)
-      t.watches
+  | Some d -> release_watches t d engine t.watches
 
 (* ---------- the hello (control-plane) detector ---------- *)
 
@@ -290,92 +373,64 @@ let declare t w engine verdict ~detail =
       ~node:w.u ~peer:w.v ~detail ~value:0.0 "heal-detect";
   note_flip t w engine
 
-let rec tick t engine =
-  List.iter
-    (fun w ->
-      let up = List.for_all Link.is_up w.links in
-      if up then begin
-        w.missed <- 0;
-        if w.declared_down then begin
-          w.declared_down <- false;
-          w.flag_cleared_at <- Engine.now engine;
-          declare t w engine `Up ~detail:"up"
-        end
+let rec all_up links i =
+  i >= Array.length links || (Link.is_up links.(i) && all_up links (i + 1))
+
+let rec hello_watches t engine = function
+  | [] -> ()
+  | w :: rest ->
+    if all_up w.links 0 then begin
+      w.missed <- 0;
+      if w.declared_down then begin
+        w.declared_down <- false;
+        w.flag_cleared_at <- Engine.now engine;
+        declare t w engine `Up ~detail:"up"
       end
-      else begin
-        w.missed <- w.missed + 1;
-        if (not w.declared_down) && w.missed >= t.cfg.hellos_missed then begin
-          w.declared_down <- true;
-          declare t w engine `Down ~detail:"down"
-        end
-      end)
-    t.watches;
+    end
+    else begin
+      w.missed <- w.missed + 1;
+      if (not w.declared_down) && w.missed >= t.cfg.hellos_missed then begin
+        w.declared_down <- true;
+        declare t w engine `Down ~detail:"down"
+      end
+    end;
+    hello_watches t engine rest
+
+let rec tick t engine =
+  hello_watches t engine t.watches;
   damping_release t engine;
   let next = Engine.now engine +. t.cfg.hello_interval in
   if next <= t.until then ignore (Engine.schedule engine next (tick t))
 
 (* ---------- the data-plane detector ---------- *)
 
-(* One probe of a direction passes iff every link object carrying that
-   direction would deliver — [Link.probe] is virtual, so sampling
-   perturbs neither the traffic ledgers nor the episode fault
-   streams. *)
-let sample_direction t links n =
-  match links with
-  | [] -> (n, n)  (* a direction with no links can't drop: vacuously healthy *)
-  | _ ->
-    let ok = ref 0 in
-    for _ = 1 to n do
-      if List.for_all (fun l -> Link.probe l t.probe_rng) links then incr ok
-    done;
-    (!ok, n)
-
-let push_sample window samples s =
-  List.filteri (fun i _ -> i < window - 1) samples |> List.cons s
-
-let ratio samples =
-  let delivered, offered =
-    List.fold_left
-      (fun (d, o) (s, n) -> (d + s, o + n))
-      (0, 0) samples
-  in
-  if offered = 0 then 1.0 else float_of_int delivered /. float_of_int offered
-
 (* Windowed delivered/offered accounting with hysteresis: down on
    data-plane evidence even when every hello passes (gray failure,
    unidirectional fault); back up only once the windowed ratio has
    genuinely recovered. *)
-let dp_sample_adjacencies t (dp : data_plane) engine =
-  List.iter
-    (fun w ->
-      let uv = sample_direction t w.uv_links dp.probes_per_sample in
-      let vu = sample_direction t w.vu_links dp.probes_per_sample in
-      w.uv_samples <- push_sample dp.window w.uv_samples uv;
-      w.vu_samples <- push_sample dp.window w.vu_samples vu;
-      let worst = Float.min (ratio w.uv_samples) (ratio w.vu_samples) in
-      if (not w.dp_down) && worst <= dp.down_ratio then begin
-        w.dp_down <- true;
-        declare t w engine `Down ~detail:"down:data-plane"
-      end
-      else if w.dp_down && worst >= dp.up_ratio then begin
-        w.dp_down <- false;
-        w.flag_cleared_at <- Engine.now engine;
-        declare t w engine `Up ~detail:"up:data-plane"
-      end)
-    t.watches
+let rec dp_sample_adjacencies t (dp : data_plane) engine = function
+  | [] -> ()
+  | w :: rest ->
+    let n = dp.probes_per_sample in
+    let uv = Window.sample t.probe_rng w.uv_links n in
+    let vu = Window.sample t.probe_rng w.vu_links n in
+    Window.push w.win ~uv ~vu;
+    let worst = Window.worst w.win ~probes:n in
+    if (not w.dp_down) && worst <= dp.down_ratio then begin
+      w.dp_down <- true;
+      declare t w engine `Down ~detail:"down:data-plane"
+    end
+    else if w.dp_down && worst >= dp.up_ratio then begin
+      w.dp_down <- false;
+      w.flag_cleared_at <- Engine.now engine;
+      declare t w engine `Up ~detail:"up:data-plane"
+    end;
+    dp_sample_adjacencies t dp engine rest
 
 (* ---------- transit probes (Byzantine-node detection) ---------- *)
 
-let quarantine_for t node =
-  match Hashtbl.find_opt t.quarantines node with
-  | Some q -> q
-  | None ->
-    let q = { active = false; q_until = 0.0; strikes = 0; fails = 0 } in
-    Hashtbl.replace t.quarantines node q;
-    q
-
 let quarantine t (dp : data_plane) engine node =
-  let q = quarantine_for t node in
+  let q = t.quarantines.(node) in
   let now = Engine.now engine in
   let hold = dp.quarantine_s *. (2.0 ** float_of_int q.strikes) in
   q.active <- true;
@@ -402,37 +457,42 @@ let quarantine t (dp : data_plane) engine node =
    fault explains.  Current flags count, and so does a flag that
    cleared after the probe left — a probe can die on a faulty leg and
    only be judged after the detectors have moved on. *)
-let leg_faulted t ~since a b =
-  List.exists
-    (fun w ->
-      ((w.u = a && w.v = b) || (w.u = b && w.v = a))
-      && (w.declared_down || w.dp_down || w.suppressed
-         || w.flag_cleared_at >= since))
-    t.watches
+let rec leg_faulted ~since a b = function
+  | [] -> false
+  | w :: rest ->
+    (((w.u = a && w.v = b) || (w.u = b && w.v = a))
+    && (w.declared_down || w.dp_down || w.suppressed
+       || w.flag_cleared_at >= since))
+    || leg_faulted ~since a b rest
 
-(* Judge an outstanding probe at its deadline.  A probe the prober can
+(* Judge a probe at its deadline.  A probe the prober can
    itself explain — no route toward the transit node (e.g. quarantine),
    or a leg of the probe path the link detectors flagged as faulty at
    any point since the probe was sent — is inconclusive, not evidence;
    only a loss with both legs believed healthy throughout reads as a
    silent discard by the transit node. *)
-let judge_probe t (dp : data_plane) engine ~probe_id ~sent ~via ~u ~v =
-  match Hashtbl.find_opt t.completed probe_id with
-  | Some `Pass ->
-    Hashtbl.remove t.completed probe_id;
-    (quarantine_for t via).fails <- 0
-  | Some `Inconclusive -> Hashtbl.remove t.completed probe_id
-  | Some `Fail | None ->
-    Hashtbl.remove t.completed probe_id;
-    if not (leg_faulted t ~since:sent u via || leg_faulted t ~since:sent via v)
+let judge_probe t (dp : data_plane) engine probe =
+  let via = probe.via in
+  probe.id <- -1;
+  match probe.judgment with
+  | Pass -> t.quarantines.(via).fails <- 0
+  | Inconclusive -> ()
+  | Fail | Unjudged ->
+    let since = probe.sent in
+    if
+      not
+        (leg_faulted ~since probe.src via t.watches
+        || leg_faulted ~since via probe.dst t.watches)
     then begin
       (* lost without explanation, or still unaccounted for at the
          deadline: a strike against the transit node *)
-      t.probes_failed <- t.probes_failed + 1;
-      let q = quarantine_for t via in
+      let q = t.quarantines.(via) in
       q.fails <- q.fails + 1;
       if (not q.active) && q.fails >= 2 then quarantine t dp engine via
     end
+
+let probe_slot t probe_id =
+  t.probes.((probe_id - probe_id_base) mod Array.length t.probes)
 
 let dp_send_transit_probes t (dp : data_plane) engine =
   let now = Engine.now engine in
@@ -443,25 +503,27 @@ let dp_send_transit_probes t (dp : data_plane) engine =
         let v = List.nth rest (Rng.int t.probe_rng (List.length rest)) in
         let probe_id = t.next_probe_id in
         t.next_probe_id <- t.next_probe_id + 1;
-        t.probes_sent <- t.probes_sent + 1;
-        Hashtbl.replace t.outstanding probe_id via;
+        let probe = probe_slot t probe_id in
+        if probe.id >= 0 then
+          failwith "Selfheal: more transit probes in flight than slots";
+        probe.id <- probe_id;
+        probe.via <- via;
+        probe.src <- u;
+        probe.dst <- v;
+        probe.sent <- now;
+        probe.judgment <- Unjudged;
         let p =
           Packet.make ~id:probe_id ~src:u ~dst:v ~created:now
             ~source_route:[ via ] ~size_bytes:64 ()
         in
         Net.inject t.net engine p;
-        ignore
-          (Engine.schedule engine (now +. dp.probe_timeout) (fun engine ->
-               if Hashtbl.mem t.outstanding probe_id then begin
-                 Hashtbl.remove t.outstanding probe_id;
-                 judge_probe t dp engine ~probe_id ~sent:now ~via ~u ~v
-               end))
+        ignore (Engine.schedule engine (now +. dp.probe_timeout) probe.deadline)
       | _ -> ()
     end
   done
 
 let rec dp_tick t (dp : data_plane) engine =
-  dp_sample_adjacencies t dp engine;
+  dp_sample_adjacencies t dp engine t.watches;
   if dp.transit_probes then dp_send_transit_probes t dp engine;
   let next = Engine.now engine +. dp.probe_interval in
   (* stop early enough that every probe deadline fires before [until]:
@@ -472,20 +534,19 @@ let rec dp_tick t (dp : data_plane) engine =
 (* Completion observer: records the judgment the deadline event reads.
    Runs for every packet; filters by the reserved probe-id range. *)
 let observe_probe t p outcome =
-  if
-    p.Packet.id >= probe_id_base
-    && Hashtbl.mem t.outstanding p.Packet.id
-  then begin
-    let judgment =
-      match (outcome : Net.outcome) with
-      | Net.Delivered _ -> `Pass
-      | Net.Lost Net.No_route ->
-        (* the prober's own tables couldn't reach the waypoint (it may
-           have withdrawn it itself); says nothing about the node *)
-        `Inconclusive
-      | Net.Lost _ -> `Fail
-    in
-    Hashtbl.replace t.completed p.Packet.id judgment
+  let id = p.Packet.id in
+  if id >= probe_id_base then begin
+    let probe = probe_slot t id in
+    if probe.id = id then
+      probe.judgment <-
+        (match (outcome : Net.outcome) with
+        | Net.Delivered _ -> Pass
+        | Net.Lost Net.No_route ->
+          (* the prober's own tables couldn't reach the waypoint (it
+             may have withdrawn it itself); says nothing about the
+             node *)
+          Inconclusive
+        | Net.Lost _ -> Fail)
   end
 
 (* ---------- attach ---------- *)
@@ -525,14 +586,38 @@ let validate_config config =
     if not (d.reuse >= 0.0 && d.reuse < d.suppress) then
       invalid_arg "Selfheal.attach: reuse must be in [0,suppress)"
 
+(* Slots for outstanding transit probes.  A batch sends at most one
+   probe per node, and a probe holds its slot until its deadline,
+   [probe_timeout] after the batch; so at most
+   [ceil (probe_timeout / probe_interval) + 1] batches are in flight
+   at once.  One batch more of slack keeps float drift in the tick
+   times from ever mattering. *)
+let probe_slots (dp : data_plane) ~nodes =
+  let batches = Float.ceil (dp.probe_timeout /. dp.probe_interval) in
+  max 1 (nodes * (int_of_float batches + 2))
+
 let attach ?(config = default_config) ~until engine net =
   validate_config config;
   if not (Float.is_finite until) || until < Engine.now engine then
     invalid_arg "Selfheal.attach: until must be finite and >= now";
-  let table = Linkstate.compute_live (Net.links net) ~metric:config.metric in
+  let links = Net.links net in
+  let table = Linkstate.compute_live links ~metric:config.metric in
   Net.set_forwarding net (Linkstate.forwarding table);
-  let seed =
-    match config.data_plane with Some dp -> dp.probe_seed | None -> 0
+  let nodes = Graph.node_count links in
+  let fresh () = { active = false; q_until = 0.0; strikes = 0; fails = 0 } in
+  let free_slot _ =
+    { id = -1; via = 0; src = 0; dst = 0; sent = 0.0; judgment = Unjudged;
+      deadline = ignore }
+  in
+  let seed, window, quarantines, probes =
+    match config.data_plane with
+    | Some dp ->
+      ( dp.probe_seed, dp.window, Array.init nodes (fun _ -> fresh ()),
+        Array.init (probe_slots dp ~nodes) free_slot )
+    | None ->
+      (* nothing is ever quarantined: every node shares one inactive
+         record *)
+      (0, 0, Array.make nodes (fresh ()), [||])
   in
   let t =
     {
@@ -540,8 +625,8 @@ let attach ?(config = default_config) ~until engine net =
       engine;
       net;
       until;
-      watches = build_watches (Net.links net);
-      neighbours = neighbour_lists (Net.links net);
+      watches = build_watches ~window links;
+      neighbours = neighbour_lists links;
       table;
       recompute_pending = false;
       reconvergences = 0;
@@ -549,12 +634,9 @@ let attach ?(config = default_config) ~until engine net =
       detections = [];
       suppressions = 0;
       probe_rng = Rng.create seed;
-      quarantines = Hashtbl.create 8;
-      outstanding = Hashtbl.create 32;
-      completed = Hashtbl.create 32;
+      quarantines;
+      probes;
       next_probe_id = probe_id_base;
-      probes_sent = 0;
-      probes_failed = 0;
     }
   in
   let first = Engine.now engine +. config.hello_interval in
@@ -562,6 +644,10 @@ let attach ?(config = default_config) ~until engine net =
   (match config.data_plane with
   | None -> ()
   | Some dp ->
+    Array.iter
+      (fun probe ->
+        probe.deadline <- (fun engine -> judge_probe t dp engine probe))
+      t.probes;
     Net.on_complete net (observe_probe t);
     let first = Engine.now engine +. dp.probe_interval in
     if first +. dp.probe_timeout <= until then
@@ -577,12 +663,3 @@ let reconvergence_times t = List.rev t.reconvergence_times
 let detections t = List.rev t.detections
 
 let suppressions t = t.suppressions
-
-let quarantined t =
-  Hashtbl.fold (fun node q acc -> if q.active then node :: acc else acc)
-    t.quarantines []
-  |> List.sort compare
-
-let probes_sent t = t.probes_sent
-
-let probes_failed t = t.probes_failed

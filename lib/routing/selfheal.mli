@@ -87,19 +87,45 @@ val default_data_plane : data_plane
     delivered, up at >= 90%, transit probes with a 300 ms deadline,
     2 s base quarantine. *)
 
-val default_damping : damping
-(** Penalty 1 per flip, 1 s half-life, suppress at 2.5, reuse at
-    0.5. *)
-
 val verified_config : config
-(** {!default_config} plus {!default_data_plane} and
-    {!default_damping}: the data-plane-verified control plane E30
-    contrasts against hello-only healing. *)
+(** {!default_config} plus {!default_data_plane} and flap damping at
+    penalty 1 per flip, 1 s half-life, suppress at 2.5 and reuse at
+    0.5: the data-plane-verified control plane E30 contrasts against
+    hello-only healing. *)
 
 val probe_id_base : int
 (** Transit-probe packets carry ids from this range (900 000 000 and
     up) so observers and tests can separate them from scenario
     traffic.  Scenario flows must stay below it. *)
+
+(** The data-plane detector's evidence for one adjacency: a sliding
+    window of per-direction probe samples.  Exposed so its arithmetic
+    can be tested on its own; {!attach} keeps one per watched
+    adjacency.  Nothing here allocates. *)
+module Window : sig
+  type t
+
+  val create : window:int -> t
+  (** An empty window holding up to [window] samples per direction. *)
+
+  val push : t -> uv:int -> vu:int -> unit
+  (** Record one sample per direction (probes delivered), evicting the
+      oldest pair once the window is full. *)
+
+  val worst : t -> probes:int -> float
+  (** The lower of the two directions' delivered/offered ratios over
+      the window, each sample having offered [probes] probes; [1.0]
+      while the window is empty. *)
+
+  val sample :
+    Tussle_prelude.Rng.t -> Tussle_netsim.Link.t array -> int -> int
+  (** [sample rng links n] sends [n] virtual probes along one direction
+      and returns how many got through.  A probe gets through iff every
+      link in [links] passes {!Tussle_netsim.Link.probe}, tried in
+      order and stopping at the first failure (so the number of draws
+      from [rng] depends on the outcomes).  A direction with no links
+      delivers all [n]. *)
+end
 
 type t
 
@@ -146,12 +172,3 @@ val detections : t -> ((int * int) * [ `Down | `Up ] * float) list
 
 val suppressions : t -> int
 (** Times any adjacency entered damping hold-down. *)
-
-val quarantined : t -> int list
-(** Nodes currently quarantined as suspected blackholes, sorted. *)
-
-val probes_sent : t -> int
-(** End-to-end transit probes injected so far. *)
-
-val probes_failed : t -> int
-(** Transit probes judged as silent discards at their deadline. *)

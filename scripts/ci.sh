@@ -24,8 +24,8 @@
 #     deterministic causal narrative (byte-identical across repeats)
 #     plus a flow-trace artifact; missing and unparseable plans exit 2
 #   - tussle trends: history lines round-trip; parse errors exit 2;
-#     the battery-smoke report is appended to the committed
-#     BENCH_history.jsonl with deltas vs BENCH_baseline.json
+#     the battery-smoke report is appended to a copy of the committed
+#     BENCH_history.jsonl under $TMP, with deltas vs BENCH_baseline.json
 #   - sweep smoke: tussle sweep at a small N passes every statistical
 #     verdict, the tussle.sweep-report/1 artifact validates via
 #     tussle report and is byte-identical across --domains 1/2/4 and
@@ -36,8 +36,10 @@
 #     --domains 1/2/4
 #   - perf gate: E1/E3 wall clock and GC allocation within 25% of the
 #     committed BENCH_baseline.json (tussle perfgate)
-# Regenerates BENCH_baseline.json and appends one line to
-# BENCH_history.jsonl at the repo root as side effects.
+# Writes only under $TMP: the regenerated baseline report and the
+# appended history land there, and no committed file changes.
+# Re-blessing BENCH_baseline.json is a separate, explicit command (see
+# README, "Re-blessing the perf baseline").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -285,18 +287,20 @@ done
 
 echo "== perf gate: E1/E3 vs committed baseline =="
 # gate the battery-smoke report (same binary, same run) against the
-# committed baseline before overwriting it below: a market hot-path
-# regression beyond 25% on wall clock or GC allocation fails CI
+# committed baseline: a market hot-path regression beyond 25% on wall
+# clock or GC allocation fails CI
 "$CLI" perfgate BENCH_baseline.json "$report" --ids E1,E3 --tolerance 0.25
 echo "perf gate passed"
 
-echo "== append battery smoke to the committed benchmark history =="
-# deltas vs the committed baseline, before it is overwritten below
-"$CLI" trends "$report" --history BENCH_history.jsonl \
+echo "== append battery smoke to a copy of the benchmark history =="
+# deltas vs the committed baseline; the committed history is not touched
+cp BENCH_history.jsonl "$TMP/tussle-bench-history.jsonl"
+"$CLI" trends "$report" --history "$TMP/tussle-bench-history.jsonl" \
   --baseline BENCH_baseline.json
 
-echo "== regenerate BENCH_baseline.json =="
-"$CLI" experiments --seq --report BENCH_baseline.json > /dev/null
-"$CLI" report BENCH_baseline.json
+echo "== regenerate the baseline report (not committed) =="
+"$CLI" experiments --seq --report "$TMP/tussle-bench-baseline.json" > /dev/null
+"$CLI" report "$TMP/tussle-bench-baseline.json"
+echo "fresh baseline: $TMP/tussle-bench-baseline.json (re-bless: see README)"
 
 echo "CI OK"

@@ -1,0 +1,300 @@
+(* The packet network as it was before the allocation-light rewrite,
+   kept as the differential oracle for [Tussle_netsim.Net]: hop lists
+   measured with [List.length], [Graph.find_edge] per hop, a closure
+   per scheduled arrival, and counts that walk the outcome list.  It
+   runs over the current [Link] (only the match on its verdict is
+   adapted), so one fault plan drives both, and it shares [Net]'s
+   outcome types so outcomes compare with [=].  Only the test suite
+   uses it. *)
+
+open Tussle_netsim
+module Graph = Tussle_prelude.Graph
+module Metrics = Tussle_obs.Metrics
+module Flight = Tussle_obs.Flight
+
+type drop_reason = Net.drop_reason =
+  | No_route
+  | Queue_full of int * int
+  | Filtered of string * int
+  | Ttl_exceeded
+  | Link_down of int * int
+  | Fault_loss of int * int
+  | Corrupted of int * int
+  | Gray_loss of int * int
+  | Blackholed of int
+
+type outcome = Net.outcome =
+  | Delivered of { latency : float; degraded : bool; tapped : bool }
+  | Lost of drop_reason
+
+type forwarding = Net.forwarding
+
+type transit = {
+  mutable waypoints : int list;
+  mutable degraded : bool;
+  mutable tapped : bool;
+}
+
+type t = {
+  links : Link.t Graph.t;
+  (* mutable so a control plane can re-converge mid-run (self-healing
+     routing swaps in fresh tables while packets are in flight) *)
+  mutable forwarding : forwarding;
+  middleboxes : (int, Middlebox.t list) Hashtbl.t;
+  (* Byzantine nodes: answer hellos and accept traffic addressed to
+     themselves, silently discard everything they'd forward for others *)
+  blackholes : (int, unit) Hashtbl.t;
+  transits : (int, transit) Hashtbl.t;
+  mutable injected : int;
+  mutable outcomes : (Packet.t * outcome) list; (* reversed *)
+  mutable observers : (Packet.t -> outcome -> unit) list; (* reversed *)
+  ttl : int;
+}
+
+let create ?(ttl = 64) links forwarding =
+  if ttl <= 0 then invalid_arg "Net.create: non-positive ttl";
+  {
+    links;
+    forwarding;
+    middleboxes = Hashtbl.create 16;
+    blackholes = Hashtbl.create 4;
+    transits = Hashtbl.create 64;
+    injected = 0;
+    outcomes = [];
+    observers = [];
+    ttl;
+  }
+
+let set_forwarding t forwarding = t.forwarding <- forwarding
+
+let add_middlebox t node mb =
+  let cur = Option.value ~default:[] (Hashtbl.find_opt t.middleboxes node) in
+  Hashtbl.replace t.middleboxes node (cur @ [ mb ])
+
+let middleboxes_at t node =
+  Option.value ~default:[] (Hashtbl.find_opt t.middleboxes node)
+
+let set_blackhole t node on =
+  if on then Hashtbl.replace t.blackholes node ()
+  else Hashtbl.remove t.blackholes node
+
+let is_blackhole t node = Hashtbl.mem t.blackholes node
+
+(* Per-reason drop attribution (handles interned once; each incr is an
+   atomic load and a branch while telemetry is disabled). *)
+let m_drop_no_route = Metrics.counter "net.drops.no_route"
+let m_drop_queue_full = Metrics.counter "net.drops.queue_full"
+let m_drop_filtered = Metrics.counter "net.drops.filtered"
+let m_drop_ttl = Metrics.counter "net.drops.ttl_exceeded"
+let m_drop_link_down = Metrics.counter "net.drops.link_down"
+let m_drop_fault_loss = Metrics.counter "net.drops.fault_loss"
+let m_drop_corrupted = Metrics.counter "net.drops.corrupted"
+let m_drop_gray_loss = Metrics.counter "net.drops.gray_loss"
+let m_drop_blackholed = Metrics.counter "net.drops.blackholed"
+let m_delivered = Metrics.counter "net.delivered"
+
+let drop_reason_label = function
+  | No_route -> "no-route"
+  | Queue_full _ -> "queue-full"
+  | Filtered (name, _) -> "filtered:" ^ name
+  | Ttl_exceeded -> "ttl-exceeded"
+  | Link_down _ -> "link-down"
+  | Fault_loss _ -> "fault-loss"
+  | Corrupted _ -> "corrupted"
+  | Gray_loss _ -> "gray-loss"
+  | Blackholed _ -> "blackholed"
+
+let count_outcome = function
+  | Delivered _ -> Metrics.incr m_delivered
+  | Lost No_route -> Metrics.incr m_drop_no_route
+  | Lost (Queue_full _) -> Metrics.incr m_drop_queue_full
+  | Lost (Filtered _) -> Metrics.incr m_drop_filtered
+  | Lost Ttl_exceeded -> Metrics.incr m_drop_ttl
+  | Lost (Link_down _) -> Metrics.incr m_drop_link_down
+  | Lost (Fault_loss _) -> Metrics.incr m_drop_fault_loss
+  | Lost (Corrupted _) -> Metrics.incr m_drop_corrupted
+  | Lost (Gray_loss _) -> Metrics.incr m_drop_gray_loss
+  | Lost (Blackholed _) -> Metrics.incr m_drop_blackholed
+
+(* Flight-recorder terminus: one event per completed transit, located
+   at the node (or link) where the packet's fate was decided. *)
+let record_finish ~now ~at p outcome =
+  match outcome with
+  | Delivered { latency; degraded; tapped } ->
+    Flight.emit ~sim_t:now ~flow:p.Packet.id ~node:at ~peer:(-1)
+      ~detail:
+        (match (degraded, tapped) with
+        | true, true -> "degraded,tapped"
+        | true, false -> "degraded"
+        | false, true -> "tapped"
+        | false, false -> "")
+      ~value:latency "deliver"
+  | Lost reason ->
+    let node, peer =
+      match reason with
+      | No_route | Ttl_exceeded -> (at, -1)
+      | Queue_full (u, v) | Link_down (u, v) | Fault_loss (u, v)
+      | Corrupted (u, v) | Gray_loss (u, v) ->
+        (u, v)
+      | Filtered (_, n) | Blackholed n -> (n, -1)
+    in
+    Flight.emit ~sim_t:now ~flow:p.Packet.id ~node ~peer
+      ~detail:(drop_reason_label reason) ~value:0.0 "drop"
+
+let finish t ~now ~at p outcome =
+  Hashtbl.remove t.transits p.Packet.id;
+  count_outcome outcome;
+  if Flight.enabled () then record_finish ~now ~at p outcome;
+  t.outcomes <- (p, outcome) :: t.outcomes;
+  List.iter (fun observe -> observe p outcome) (List.rev t.observers)
+
+let on_complete t observe = t.observers <- observe :: t.observers
+
+(* Run the node's middleboxes; [Some reason] means the packet died here.
+   Transforms (degrade, tap, drop) land in the flight recorder; the
+   drop's own terminus event carries the filtered reason, so only
+   non-fatal transforms are emitted here. *)
+let run_middleboxes t ~now node p state =
+  let rec apply = function
+    | [] -> None
+    | mb :: rest -> begin
+      match Middlebox.decide mb p with
+      | Middlebox.Forward -> apply rest
+      | Middlebox.Drop -> Some (Filtered (Middlebox.name mb, node))
+      | Middlebox.Degrade ->
+        state.degraded <- true;
+        if Flight.enabled () then
+          Flight.emit ~sim_t:now ~flow:p.Packet.id ~node ~peer:(-1)
+            ~detail:(Middlebox.name mb) ~value:0.0 "mb-degrade";
+        apply rest
+      | Middlebox.Tap ->
+        state.tapped <- true;
+        if Flight.enabled () then
+          Flight.emit ~sim_t:now ~flow:p.Packet.id ~node ~peer:(-1)
+            ~detail:(Middlebox.name mb) ~value:0.0 "mb-tap";
+        apply rest
+    end
+  in
+  apply (middleboxes_at t node)
+
+let rec arrive t engine p node =
+  Packet.record_hop p node;
+  let now = Engine.now engine in
+  let state = Hashtbl.find t.transits p.Packet.id in
+  match run_middleboxes t ~now node p state with
+  | Some reason -> finish t ~now ~at:node p (Lost reason)
+  | None ->
+    (* a Byzantine node silently discards transit traffic — anything
+       it would forward for others — while traffic it originates or
+       terminates (hellos, packets addressed to it) flows normally *)
+    if
+      Hashtbl.mem t.blackholes node
+      && node <> p.Packet.src && node <> p.Packet.dst
+    then finish t ~now ~at:node p (Lost (Blackholed node))
+    else begin
+    (* consume a reached waypoint *)
+    (match state.waypoints with
+    | w :: rest when w = node -> state.waypoints <- rest
+    | _ -> ());
+    if node = p.Packet.dst && state.waypoints = [] then
+      let latency = now -. p.Packet.created in
+      finish t ~now ~at:node p
+        (Delivered { latency; degraded = state.degraded; tapped = state.tapped })
+    else if List.length p.Packet.hops >= t.ttl then
+      finish t ~now ~at:node p (Lost Ttl_exceeded)
+    else
+      let target =
+        match state.waypoints with w :: _ -> w | [] -> p.Packet.dst
+      in
+      match t.forwarding ~node ~target p with
+      | None -> finish t ~now ~at:node p (Lost No_route)
+      | Some next -> begin
+        match Graph.find_edge t.links node next with
+        | None -> finish t ~now ~at:node p (Lost No_route)
+        | Some link -> begin
+          match Link.try_enqueue link ~now p.Packet.size_bytes with
+          | Link.Queue_full ->
+            finish t ~now ~at:node p (Lost (Queue_full (node, next)))
+          | Link.Down ->
+            finish t ~now ~at:node p (Lost (Link_down (node, next)))
+          | Link.Loss ->
+            finish t ~now ~at:node p (Lost (Fault_loss (node, next)))
+          | Link.Corrupt ->
+            finish t ~now ~at:node p (Lost (Corrupted (node, next)))
+          | Link.Gray ->
+            finish t ~now ~at:node p (Lost (Gray_loss (node, next)))
+          | Link.Sent ->
+            let arrival_time = Link.arrival link in
+            if Flight.enabled () then
+              Flight.emit ~sim_t:now ~flow:p.Packet.id ~node ~peer:next
+                ~detail:"" ~value:(float_of_int (Link.queue_length link))
+                "hop";
+            ignore
+              (Engine.schedule engine arrival_time (fun engine ->
+                   arrive t engine p next))
+        end
+      end
+    end
+
+let inject t engine p =
+  if Hashtbl.mem t.transits p.Packet.id then
+    invalid_arg "Net.inject: duplicate packet id in flight";
+  t.injected <- t.injected + 1;
+  Hashtbl.replace t.transits p.Packet.id
+    { waypoints = p.Packet.source_route; degraded = false; tapped = false };
+  if Flight.enabled () then
+    Flight.emit ~sim_t:(Engine.now engine) ~flow:p.Packet.id
+      ~node:p.Packet.src ~peer:p.Packet.dst
+      ~detail:(Packet.app_to_string p.Packet.app)
+      ~value:(float_of_int p.Packet.size_bytes) "inject";
+  ignore
+    (Engine.schedule engine (Engine.now engine) (fun engine ->
+         arrive t engine p p.Packet.src))
+
+let outcomes t = List.rev t.outcomes
+
+let injected_count t = t.injected
+
+let in_flight t = Hashtbl.length t.transits
+
+let delivered_count t =
+  List.length
+    (List.filter (fun (_, o) -> match o with Delivered _ -> true | Lost _ -> false)
+       t.outcomes)
+
+let lost_count t =
+  List.length
+    (List.filter (fun (_, o) -> match o with Lost _ -> true | Delivered _ -> false)
+       t.outcomes)
+
+let delivery_ratio t =
+  let n = List.length t.outcomes in
+  if n = 0 then 0.0 else float_of_int (delivered_count t) /. float_of_int n
+
+let mean_latency t =
+  let latencies =
+    List.filter_map
+      (fun (_, o) ->
+        match o with Delivered d -> Some d.latency | Lost _ -> None)
+      t.outcomes
+  in
+  match latencies with
+  | [] -> None
+  | _ -> Some (Tussle_prelude.Stats.mean (Array.of_list latencies))
+
+let losses_by_reason t =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (_, o) ->
+      match o with
+      | Delivered _ -> ()
+      | Lost r ->
+        let label = drop_reason_label r in
+        let cur = Option.value ~default:0 (Hashtbl.find_opt tbl label) in
+        Hashtbl.replace tbl label (cur + 1))
+    t.outcomes;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
+let clear_outcomes t = t.outcomes <- []
+
+let links t = t.links

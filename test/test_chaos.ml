@@ -152,6 +152,98 @@ let test_sweep_clean_and_deterministic () =
   Alcotest.(check bool) "different seed, different sweep" true
     (render_runs a <> render_runs c)
 
+(* ---------- the observations, pinned ---------- *)
+
+(* [ring-verified] as the scenario builds it, returning the control
+   plane as well as the ledger so its detections and reconvergence
+   times can be pinned too.  Checked against the scenario's own run
+   below, so it cannot drift from it unnoticed. *)
+let ring_verified_with_heal ~seed ~plan =
+  let edge = { Topology.latency = 0.005; bandwidth_bps = 1e7 } in
+  let net =
+    Net.create
+      (Topology.to_links (Topology.ring ~edge 6))
+      (fun ~node:_ ~target:_ _ -> None)
+  in
+  let engine = Engine.create () in
+  let clock_start = Engine.now engine in
+  let heal =
+    Selfheal.attach ~config:Selfheal.verified_config ~until:12.0 engine net
+  in
+  Inject.install ~seed ~plan engine net;
+  let gen = Traffic.create (Rng.create (seed + 1)) in
+  for k = 0 to 79 do
+    let at = 0.2 +. (0.1 *. float_of_int k) in
+    ignore
+      (Engine.schedule engine at (fun engine ->
+           Net.inject net engine
+             (Traffic.next_packet gen ~src:0 ~dst:3
+                ~created:(Engine.now engine) ())))
+  done;
+  Engine.run ~until:600.0 engine;
+  ( Invariant.observe ~reconvergences:(Selfheal.reconvergences heal)
+      ~fault_transitions:(Plan.transitions plan) ~clock_start engine net,
+    heal )
+
+let render_obs b (o : Invariant.obs) =
+  let opt = function None -> "-" | Some n -> string_of_int n in
+  Printf.bprintf b "%d %d %d %d %d %h %h |" o.injected o.delivered o.dropped
+    o.in_flight o.engine_pending o.clock_start o.clock_end;
+  List.iter (fun (r, n) -> Printf.bprintf b " %s=%d" r n) o.drops_by_reason;
+  Printf.bprintf b " | %d %d %d |" o.link_fault_drops o.link_corrupted
+    o.link_gray_drops;
+  List.iter
+    (fun s ->
+      Buffer.add_string b
+        (match s with
+        | Invariant.Completed -> " C"
+        | Invariant.Abandoned -> " A"
+        | Invariant.Active -> " X"))
+    o.transfers;
+  Printf.bprintf b " | %d %d %s %s\n" o.engine_high_water o.reconvergences
+    (opt o.covert_budget) (opt o.fault_transitions)
+
+let render_heal b heal =
+  List.iter
+    (fun ((u, v), verdict, at) ->
+      Printf.bprintf b " %d-%d:%s@%h" u v
+        (match verdict with `Down -> "down" | `Up -> "up")
+        at)
+    (Selfheal.detections heal);
+  Buffer.add_string b " |";
+  List.iter (Printf.bprintf b " %h") (Selfheal.reconvergence_times heal);
+  Buffer.add_char b '\n'
+
+(* The behaviour-lock digests hash plans and violations only, so a
+   changed delivered count, drop reason or reconvergence count would
+   pass them.  This pins every field of every run's ledger, plus each
+   ring-verified run's detections and table-install times. *)
+let observation_digest = "47a2b7385bce7015ce6ef2ccdcadeb78"
+
+let test_observation_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  for i = 0 to 399 do
+    let r = Sweep.run_one ~master_seed:1031 i in
+    let sc =
+      match Scenario.find r.Sweep.scenario with
+      | Some s -> s
+      | None -> Alcotest.fail ("unknown scenario " ^ r.Sweep.scenario)
+    in
+    let obs = sc.Scenario.run ~seed:r.Sweep.seed ~plan:r.Sweep.plan in
+    Printf.bprintf b "%d %s " i r.Sweep.scenario;
+    render_obs b obs;
+    if r.Sweep.scenario = "ring-verified" then begin
+      let obs', heal =
+        ring_verified_with_heal ~seed:r.Sweep.seed ~plan:r.Sweep.plan
+      in
+      if obs' <> obs then
+        Alcotest.failf "run %d: the test's ring-verified copy diverged" i;
+      render_heal b heal
+    end
+  done;
+  Alcotest.(check string) "observation digest" observation_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---------- planted violation -> shrink -> corpus -> replay ---------- *)
 
 (* A deliberately broken scenario: it stops its engine at t = 1.0, so
@@ -479,6 +571,8 @@ let () =
         [
           Alcotest.test_case "clean + deterministic" `Slow
             test_sweep_clean_and_deterministic;
+          Alcotest.test_case "observation digest" `Slow
+            test_observation_digest;
         ] );
       ( "shrink-and-corpus",
         [

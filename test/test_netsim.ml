@@ -1,5 +1,6 @@
 (* Tests for tussle.netsim: engine, packet, link, topology, middlebox,
-   net, traffic. *)
+   net, traffic, the differential oracles for Link and Net, and the
+   forwarding allocation pins. *)
 
 module Rng = Tussle_prelude.Rng
 module Graph = Tussle_prelude.Graph
@@ -10,6 +11,8 @@ module Topology = Tussle_netsim.Topology
 module Middlebox = Tussle_netsim.Middlebox
 module Net = Tussle_netsim.Net
 module Traffic = Tussle_netsim.Traffic
+module Plan = Tussle_fault.Plan
+module Inject = Tussle_fault.Inject
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -201,24 +204,24 @@ let test_link_delay () =
   (* 1000 bytes = 8000 bits = 1 second at 8 kb/s *)
   check_float "tx delay" 1.0 (Link.transmission_delay l 1000);
   match Link.try_enqueue l ~now:0.0 1000 with
-  | `Sent arrival -> check_float "arrival" 1.01 arrival
-  | `Dropped | `Faulted _ -> Alcotest.fail "dropped"
+  | Link.Sent -> check_float "arrival" 1.01 (Link.arrival l)
+  | _ -> Alcotest.fail "dropped"
 
 let test_link_queueing () =
   let l = Link.make ~latency:0.01 ~bandwidth_bps:8000.0 () in
   ignore (Link.try_enqueue l ~now:0.0 1000);
   (* second packet waits for the first to serialize *)
   match Link.try_enqueue l ~now:0.0 1000 with
-  | `Sent arrival -> check_float "queued arrival" 2.01 arrival
-  | `Dropped | `Faulted _ -> Alcotest.fail "dropped"
+  | Link.Sent -> check_float "queued arrival" 2.01 (Link.arrival l)
+  | _ -> Alcotest.fail "dropped"
 
 let test_link_drop_when_full () =
   let l = Link.make ~queue_capacity:2 ~latency:0.01 ~bandwidth_bps:8000.0 () in
   ignore (Link.try_enqueue l ~now:0.0 1000);
   ignore (Link.try_enqueue l ~now:0.0 1000);
   (match Link.try_enqueue l ~now:0.0 1000 with
-  | `Dropped -> ()
-  | `Sent _ | `Faulted _ -> Alcotest.fail "should drop");
+  | Link.Queue_full -> ()
+  | _ -> Alcotest.fail "should drop");
   Alcotest.(check int) "dropped count" 1 (Link.packets_dropped l);
   Alcotest.(check int) "sent count" 2 (Link.packets_sent l)
 
@@ -230,8 +233,8 @@ let test_link_drains () =
   (* after both serialize (2s), the queue is empty again *)
   Alcotest.(check int) "drained" 0 (Link.queued l ~now:2.5);
   match Link.try_enqueue l ~now:2.5 1000 with
-  | `Sent _ -> ()
-  | `Dropped | `Faulted _ -> Alcotest.fail "should accept after drain"
+  | Link.Sent -> ()
+  | _ -> Alcotest.fail "should accept after drain"
 
 let test_link_utilization () =
   let l = Link.make ~latency:0.01 ~bandwidth_bps:8000.0 () in
@@ -250,38 +253,38 @@ let test_link_decreasing_now_raises () =
         time order)") (fun () -> ignore (Link.try_enqueue l ~now:0.5 1000));
   (* equal time is still fine (FIFO ties are legitimate) *)
   match Link.try_enqueue l ~now:1.0 1000 with
-  | `Sent _ -> ()
-  | `Dropped | `Faulted _ -> Alcotest.fail "equal now must be accepted"
+  | Link.Sent -> ()
+  | _ -> Alcotest.fail "equal now must be accepted"
 
 let test_link_down_up () =
   let l = Link.make ~latency:0.01 ~bandwidth_bps:8000.0 () in
   Alcotest.(check bool) "starts up" true (Link.is_up l);
   Link.set_up l false;
   (match Link.try_enqueue l ~now:0.0 1000 with
-  | `Faulted Link.Down -> ()
-  | `Sent _ | `Dropped | `Faulted _ -> Alcotest.fail "down link must fault");
+  | Link.Down -> ()
+  | _ -> Alcotest.fail "down link must fault");
   Alcotest.(check int) "fault drop counted" 1 (Link.fault_drops l);
   Alcotest.(check int) "not a queue drop" 0 (Link.packets_dropped l);
   Link.set_up l true;
   match Link.try_enqueue l ~now:1.0 1000 with
-  | `Sent _ -> ()
-  | `Dropped | `Faulted _ -> Alcotest.fail "restored link must send"
+  | Link.Sent -> ()
+  | _ -> Alcotest.fail "restored link must send"
 
 let test_link_loss_and_corrupt () =
   let l = Link.make ~latency:0.01 ~bandwidth_bps:8000.0 () in
   Link.set_fault_rng l (Rng.create 7);
   Link.set_loss_prob l 1.0;
   (match Link.try_enqueue l ~now:0.0 1000 with
-  | `Faulted Link.Loss -> ()
-  | `Sent _ | `Dropped | `Faulted _ -> Alcotest.fail "p=1 loss must fault");
+  | Link.Loss -> ()
+  | _ -> Alcotest.fail "p=1 loss must fault");
   Alcotest.(check int) "loss counted" 1 (Link.fault_drops l);
   (* loss does not consume wire capacity *)
   Alcotest.(check int) "nothing queued" 0 (Link.queued l ~now:0.0);
   Link.set_loss_prob l 0.0;
   Link.set_corrupt_prob l 1.0;
   (match Link.try_enqueue l ~now:0.0 1000 with
-  | `Faulted Link.Corrupt -> ()
-  | `Sent _ | `Dropped | `Faulted _ -> Alcotest.fail "p=1 corrupt must fault");
+  | Link.Corrupt -> ()
+  | _ -> Alcotest.fail "p=1 corrupt must fault");
   Alcotest.(check int) "corruption counted" 1 (Link.corrupted_count l);
   (* corruption happens after transmission: capacity was consumed *)
   Alcotest.(check int) "wire occupied" 1 (Link.queued l ~now:0.0)
@@ -290,12 +293,12 @@ let test_link_latency_spike () =
   let l = Link.make ~latency:0.01 ~bandwidth_bps:8000.0 () in
   Link.set_extra_latency l 0.25;
   (match Link.try_enqueue l ~now:0.0 1000 with
-  | `Sent arrival -> check_float "spiked arrival" 1.26 arrival
-  | `Dropped | `Faulted _ -> Alcotest.fail "should send");
+  | Link.Sent -> check_float "spiked arrival" 1.26 (Link.arrival l)
+  | _ -> Alcotest.fail "should send");
   Link.set_extra_latency l 0.0;
   match Link.try_enqueue l ~now:0.0 1000 with
-  | `Sent arrival -> check_float "restored arrival" 2.01 arrival
-  | `Dropped | `Faulted _ -> Alcotest.fail "should send"
+  | Link.Sent -> check_float "restored arrival" 2.01 (Link.arrival l)
+  | _ -> Alcotest.fail "should send"
 
 let test_link_fault_validation () =
   let l = Link.make ~latency:0.01 ~bandwidth_bps:8000.0 () in
@@ -1028,6 +1031,391 @@ let test_transport_resilience_validation () =
         (Transport.start ~max_retries:0 engine net gen ~src:0 ~dst:1
            ~total_packets:1))
 
+(* ---------- differential oracles against the pre-rewrite code ---------- *)
+
+type link_op =
+  | Offer of float * int  (* advance now by dt, offer bytes *)
+  | Queued of float  (* advance now by dt, read the occupancy *)
+  | Set_up of bool
+  | Set_loss of float
+  | Set_gray of float
+  | Set_corrupt of float
+  | Set_extra of float
+
+let show_link_op = function
+  | Offer (dt, b) -> Printf.sprintf "offer+%g:%d" dt b
+  | Queued dt -> Printf.sprintf "queued+%g" dt
+  | Set_up b -> Printf.sprintf "up=%b" b
+  | Set_loss p -> Printf.sprintf "loss=%g" p
+  | Set_gray p -> Printf.sprintf "gray=%g" p
+  | Set_corrupt p -> Printf.sprintf "corrupt=%g" p
+  | Set_extra x -> Printf.sprintf "extra=%g" x
+
+let link_case_gen =
+  QCheck2.Gen.(
+    let dt = oneofl [ 0.0; 0.0; 0.0; 0.001; 0.01; 0.05; 0.2; 1.0 ] in
+    let prob = oneofl [ 0.0; 0.0; 0.25; 0.5; 1.0 ] in
+    let op =
+      frequency
+        [
+          (8, map2 (fun dt b -> Offer (dt, b)) dt (int_range 1 2000));
+          (1, map (fun dt -> Queued dt) dt);
+          (1, map (fun b -> Set_up b) (frequency [ (3, pure true); (1, pure false) ]));
+          (1, map (fun p -> Set_loss p) prob);
+          (1, map (fun p -> Set_gray p) prob);
+          (1, map (fun p -> Set_corrupt p) prob);
+          (1, map (fun x -> Set_extra x) (oneofl [ 0.0; 0.003; 0.25 ]));
+        ]
+    in
+    let* capacity = int_range 1 8 in
+    let* latency = oneofl [ 0.001; 0.01 ] in
+    let* bandwidth = oneofl [ 8000.0; 1e5; 1e6 ] in
+    let* seed = int_bound 10_000 in
+    let* ops = list_size (int_range 1 80) op in
+    return (capacity, latency, bandwidth, seed, ops))
+
+let print_link_case (capacity, latency, bandwidth, seed, ops) =
+  Printf.sprintf "cap=%d lat=%g bw=%g seed=%d [%s]" capacity latency bandwidth
+    seed (String.concat "; " (List.map show_link_op ops))
+
+let qcheck_link_matches_oracle =
+  QCheck2.Test.make ~name:"ring-buffer Link matches the list-based Link"
+    ~count:500 ~print:print_link_case link_case_gen
+    (fun (capacity, latency, bandwidth, seed, ops) ->
+      let l = Link.make ~queue_capacity:capacity ~latency ~bandwidth_bps:bandwidth () in
+      let o =
+        Link_oracle.make ~queue_capacity:capacity ~latency ~bandwidth_bps:bandwidth ()
+      in
+      let rng = Rng.create seed and orng = Rng.create seed in
+      Link.set_fault_rng l rng;
+      Link_oracle.set_fault_rng o orng;
+      let now = ref 0.0 in
+      let same_counters () =
+        Link.packets_sent l = Link_oracle.packets_sent o
+        && Link.packets_dropped l = Link_oracle.packets_dropped o
+        && Link.fault_drops l = Link_oracle.fault_drops o
+        && Link.gray_drops l = Link_oracle.gray_drops o
+        && Link.corrupted_count l = Link_oracle.corrupted_count o
+        && Link.queue_length l = Link_oracle.queue_length o
+        && Float.equal (Link.utilization l ~now:!now)
+             (Link_oracle.utilization o ~now:!now)
+      in
+      let step op =
+        (match op with
+        | Offer (dt, bytes) -> (
+          now := !now +. dt;
+          let got = Link.try_enqueue l ~now:!now bytes in
+          match (Link_oracle.try_enqueue o ~now:!now bytes, got) with
+          | `Sent a, Link.Sent ->
+            if not (Float.equal a (Link.arrival l)) then
+              QCheck2.Test.fail_reportf "arrival %h, oracle %h" (Link.arrival l) a
+          | `Dropped, Link.Queue_full
+          | `Faulted Link_oracle.Down, Link.Down
+          | `Faulted Link_oracle.Loss, Link.Loss
+          | `Faulted Link_oracle.Corrupt, Link.Corrupt
+          | `Faulted Link_oracle.Gray, Link.Gray ->
+            ()
+          | _ -> QCheck2.Test.fail_reportf "verdicts differ at now=%g" !now)
+        | Queued dt ->
+          now := !now +. dt;
+          if Link.queued l ~now:!now <> Link_oracle.queued o ~now:!now then
+            QCheck2.Test.fail_reportf "queued differs at now=%g" !now
+        | Set_up b ->
+          Link.set_up l b;
+          Link_oracle.set_up o b
+        | Set_loss p ->
+          Link.set_loss_prob l p;
+          Link_oracle.set_loss_prob o p
+        | Set_gray p ->
+          Link.set_gray_loss_prob l p;
+          Link_oracle.set_gray_loss_prob o p
+        | Set_corrupt p ->
+          Link.set_corrupt_prob l p;
+          Link_oracle.set_corrupt_prob o p
+        | Set_extra x ->
+          Link.set_extra_latency l x;
+          Link_oracle.set_extra_latency o x);
+        same_counters ()
+      in
+      List.for_all step ops
+      && Link.queued l ~now:!now = Link_oracle.queued o ~now:!now
+      && Rng.bits rng = Rng.bits orng)
+
+(* A random network: a spanning tree plus extra and parallel edges, each
+   a pair of per-direction links or one label shared both ways. *)
+type net_case = {
+  n : int;
+  edges : (int * int * bool * int) list;  (* u, v, shared, link kind *)
+  detours : (int * int * int) list;  (* node, target, next (-1: none) *)
+  boxes : (int * int) list;  (* node, middlebox kind *)
+  holes : int list;  (* blackholed for the whole run *)
+  packets : (float * int * int * int list * int) list;
+      (* at, src, dst, source route, size *)
+  ttl : int;
+  episodes : int;
+  plan_seed : int;
+  clear_at : float option;
+}
+
+let link_kinds = [| (0.001, 1e6, 8); (0.005, 1e5, 2); (0.002, 1e7, 4); (0.01, 2e5, 1) |]
+
+let net_case_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 12 in
+    let* tree =
+      flatten_l (List.init (n - 1) (fun i -> map (fun p -> (p, i + 1)) (int_bound i)))
+    in
+    let* extra =
+      list_size (int_range 0 n) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    in
+    let* parallel = list_size (int_range 0 3) (oneofl tree) in
+    let pairs = List.filter (fun (u, v) -> u <> v) (tree @ extra @ parallel) in
+    let* edges =
+      flatten_l
+        (List.map
+           (fun (u, v) -> map2 (fun s k -> (u, v, s, k)) bool (int_bound 3))
+           pairs)
+    in
+    let node = int_bound (n - 1) in
+    let* detours =
+      list_size (int_range 0 4) (triple node node (int_range (-1) (n - 1)))
+    in
+    let* boxes = list_size (int_range 0 3) (pair node (int_bound 3)) in
+    let* holes = list_size (int_range 0 1) node in
+    let* packets =
+      list_size (int_range 1 25)
+        (let* at = oneof [ float_bound_inclusive 2.0; oneofl [ 0.0; 0.5; 1.0 ] ] in
+         let* src = node and* dst = node in
+         let* route = list_size (int_range 0 2) node in
+         let* size = int_range 64 1500 in
+         return (at, src, dst, route, size))
+    in
+    let* ttl = int_range 1 8 in
+    let* episodes = int_range 0 4 in
+    let* plan_seed = int_bound 100_000 in
+    let* clear_at = opt (float_bound_inclusive 2.0) in
+    return { n; edges; detours; boxes; holes; packets; ttl; episodes; plan_seed; clear_at })
+
+let print_net_case c =
+  Printf.sprintf
+    "n=%d edges=[%s] detours=[%s] boxes=[%s] holes=[%s] ttl=%d episodes=%d \
+     plan_seed=%d clear=%s packets=[%s]"
+    c.n
+    (String.concat "; "
+       (List.map (fun (u, v, s, k) -> Printf.sprintf "%d-%d%s:%d" u v (if s then "=" else "") k) c.edges))
+    (String.concat "; "
+       (List.map (fun (a, b, x) -> Printf.sprintf "%d>%d:%d" a b x) c.detours))
+    (String.concat "; " (List.map (fun (a, k) -> Printf.sprintf "%d:%d" a k) c.boxes))
+    (String.concat "; " (List.map string_of_int c.holes))
+    c.ttl c.episodes c.plan_seed
+    (match c.clear_at with None -> "-" | Some t -> Printf.sprintf "%g" t)
+    (String.concat "; "
+       (List.map
+          (fun (at, s, d, r, sz) ->
+            Printf.sprintf "%g:%d>%d via[%s] %dB" at s d
+              (String.concat "," (List.map string_of_int r)) sz)
+          c.packets))
+
+let build_links c =
+  let g = Graph.create c.n in
+  List.iter
+    (fun (u, v, shared, k) ->
+      let latency, bandwidth_bps, queue_capacity = link_kinds.(k) in
+      let mk () = Link.make ~queue_capacity ~latency ~bandwidth_bps () in
+      if shared then Graph.add_undirected g u v (mk ())
+      else begin
+        Graph.add_edge g u v (mk ());
+        Graph.add_edge g v u (mk ())
+      end)
+    c.edges;
+  g
+
+(* Shortest-hop next hops by BFS from every target, then the detours
+   (which may point at a non-neighbour, nowhere, or into a loop). *)
+let forwarding_table c =
+  let adj = Array.make c.n [] in
+  List.iter
+    (fun (u, v, _, _) ->
+      adj.(u) <- v :: adj.(u);
+      adj.(v) <- u :: adj.(v))
+    c.edges;
+  let next = Array.make_matrix c.n c.n (-1) in
+  for target = 0 to c.n - 1 do
+    let seen = Array.make c.n false in
+    let q = Queue.create () in
+    seen.(target) <- true;
+    Queue.add target q;
+    while not (Queue.is_empty q) do
+      let x = Queue.pop q in
+      List.iter
+        (fun y ->
+          if not seen.(y) then begin
+            seen.(y) <- true;
+            next.(y).(target) <- x;
+            Queue.add y q
+          end)
+        (List.sort compare adj.(x))
+    done
+  done;
+  List.iter (fun (a, b, x) -> next.(a).(b) <- x) c.detours;
+  fun ~node ~target (_ : Packet.t) ->
+    let x = next.(node).(target) in
+    if x < 0 then None else Some x
+
+let middlebox kind =
+  let decide =
+    match kind with
+    | 0 -> fun p -> if p.Packet.id mod 5 = 0 then Middlebox.Drop else Middlebox.Forward
+    | 1 -> fun p -> if p.Packet.id mod 2 = 1 then Middlebox.Degrade else Middlebox.Forward
+    | 2 -> fun _ -> Middlebox.Tap
+    | _ -> fun _ -> Middlebox.Forward
+  in
+  Middlebox.make ~name:(Printf.sprintf "mb%d" kind) decide
+
+(* What one side of the comparison exposes. *)
+type side = {
+  inject : Engine.t -> Packet.t -> unit;
+  add_middlebox : int -> Middlebox.t -> unit;
+  set_blackhole : int -> bool -> unit;
+  on_complete : (Packet.t -> Net.outcome -> unit) -> unit;
+  clear : unit -> unit;
+  fault_target : Net.t;  (* the net [Inject.install] drives *)
+  ledger :
+    unit -> (int * int list * Net.outcome) list * (string * int) list * int list;
+}
+
+let new_side c =
+  let net = Net.create ~ttl:c.ttl (build_links c) (forwarding_table c) in
+  {
+    inject = Net.inject net;
+    add_middlebox = Net.add_middlebox net;
+    set_blackhole = Net.set_blackhole net;
+    on_complete = Net.on_complete net;
+    clear = (fun () -> Net.clear_outcomes net);
+    fault_target = net;
+    ledger =
+      (fun () ->
+        ( List.map (fun (p, o) -> (p.Packet.id, Packet.path p, o)) (Net.outcomes net),
+          Net.losses_by_reason net,
+          [ Net.injected_count net; Net.in_flight net; Net.delivered_count net;
+            Net.lost_count net ] ));
+  }
+
+(* The oracle, over links of its own.  [Inject] drives a shadow [Net] on
+   the same links: link faults reach the oracle through them, and the
+   plan's blackhole windows are mirrored onto both sides by the test. *)
+let oracle_side c =
+  let links = build_links c in
+  let net = Net_oracle.create ~ttl:c.ttl links (forwarding_table c) in
+  {
+    inject = Net_oracle.inject net;
+    add_middlebox = Net_oracle.add_middlebox net;
+    set_blackhole = Net_oracle.set_blackhole net;
+    on_complete = Net_oracle.on_complete net;
+    clear = (fun () -> Net_oracle.clear_outcomes net);
+    fault_target = Net.create links (fun ~node:_ ~target:_ _ -> None);
+    ledger =
+      (fun () ->
+        ( List.map (fun (p, o) -> (p.Packet.id, Packet.path p, o))
+            (Net_oracle.outcomes net),
+          Net_oracle.losses_by_reason net,
+          [ Net_oracle.injected_count net; Net_oracle.in_flight net;
+            Net_oracle.delivered_count net; Net_oracle.lost_count net ] ));
+  }
+
+let run_side c plan side =
+  let engine = Engine.create () in
+  List.iter (fun (node, kind) -> side.add_middlebox node (middlebox kind)) c.boxes;
+  List.iter (fun node -> side.set_blackhole node true) c.holes;
+  let log = ref [] in
+  side.on_complete (fun p _ -> log := p.Packet.id :: !log);
+  side.on_complete (fun p _ -> log := (-1 - p.Packet.id) :: !log);
+  Inject.install ~seed:c.plan_seed ~plan engine side.fault_target;
+  List.iter
+    (function
+      | Plan.Blackhole { node; w } ->
+        ignore (Engine.schedule engine w.Plan.from_s (fun _ -> side.set_blackhole node true));
+        ignore (Engine.schedule engine w.Plan.until_s (fun _ -> side.set_blackhole node false))
+      | _ -> ())
+    plan;
+  Option.iter
+    (fun at -> ignore (Engine.schedule engine at (fun _ -> side.clear ())))
+    c.clear_at;
+  List.iteri
+    (fun id (at, src, dst, source_route, size_bytes) ->
+      ignore
+        (Engine.schedule engine at (fun engine ->
+             side.inject engine
+               (Packet.make ~id ~src ~dst ~source_route ~size_bytes
+                  ~created:(Engine.now engine) ()))))
+    c.packets;
+  Engine.run ~until:1000.0 engine;
+  (side.ledger (), List.rev !log, Engine.events_executed engine)
+
+let qcheck_net_matches_oracle =
+  QCheck2.Test.make ~name:"Net matches the pre-rewrite Net under faults"
+    ~count:300 ~print:print_net_case net_case_gen (fun c ->
+      let pairs =
+        List.sort_uniq compare
+          (List.map (fun (u, v, _, _) -> (min u v, max u v)) c.edges)
+      in
+      let plan =
+        Plan.random ~extended:true (Rng.create c.plan_seed) ~links:pairs
+          ~horizon:2.0 ~episodes:c.episodes
+      in
+      run_side c plan (new_side c) = run_side c plan (oracle_side c))
+
+(* ---------- allocation ---------- *)
+
+(* Static forwarding along a 17-node line (16 hops), one packet per
+   millisecond so no queue overflows: every word of inject, per-hop
+   forwarding and completion, amortized per hop. *)
+let test_forward_alloc_per_hop () =
+  let hops = 16 and packets = 2000 in
+  let net =
+    Net.create
+      (Topology.to_links (Topology.line (hops + 1)))
+      (fun ~node ~target _ ->
+        if target > node then Some (node + 1)
+        else if target < node then Some (node - 1)
+        else None)
+  in
+  let engine = Engine.create () in
+  let pkts =
+    Array.init packets (fun id ->
+        Packet.make ~id ~src:0 ~dst:hops ~created:0.0 ())
+  in
+  let until = Array.init packets (fun i -> Some (0.001 *. float_of_int i)) in
+  let words =
+    Alloc.minor_words (fun () ->
+        for i = 0 to packets - 1 do
+          Engine.run ?until:until.(i) engine;
+          Net.inject net engine pkts.(i)
+        done;
+        Engine.run engine)
+  in
+  Alcotest.(check int) "all delivered" packets (Net.delivered_count net);
+  let per_hop = words /. float_of_int (packets * hops) in
+  if per_hop > 20.0 then
+    Alcotest.failf "%.1f words per hop (at most 20 allowed)" per_hop
+
+(* Offers on a link whose departure buffer has reached the queue
+   capacity: sends, queue-full drops and fault draws all allocate
+   nothing. *)
+let test_link_enqueue_allocation_free () =
+  let l = Link.make ~queue_capacity:16 ~latency:0.001 ~bandwidth_bps:8e5 () in
+  Link.set_fault_rng l (Rng.create 3);
+  for _ = 1 to 16 do ignore (Link.try_enqueue l ~now:0.0 1000) done;
+  Link.set_loss_prob l 0.2;
+  Link.set_gray_loss_prob l 0.1;
+  Link.set_corrupt_prob l 0.1;
+  let times = List.init 4000 (fun i -> 0.002 *. float_of_int (i / 3)) in
+  let offer now = ignore (Link.try_enqueue l ~now 1000) in
+  let words = Alloc.minor_words (fun () -> List.iter offer times) in
+  Alcotest.(check bool) "queue filled and drained" true
+    (Link.packets_dropped l > 0 && Link.packets_sent l > 200);
+  Alcotest.(check (float 0.0)) "words" 0.0 words
+
 let () =
   Alcotest.run "netsim"
     [
@@ -1107,6 +1495,18 @@ let () =
           Alcotest.test_case "queue loss" `Quick test_net_queue_loss;
           Alcotest.test_case "degraded flag" `Quick test_net_degraded_flag;
           Alcotest.test_case "duplicate id" `Quick test_net_duplicate_id_rejected;
+        ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest qcheck_link_matches_oracle;
+          QCheck_alcotest.to_alcotest qcheck_net_matches_oracle;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "forwarding words per hop" `Quick
+            test_forward_alloc_per_hop;
+          Alcotest.test_case "link enqueue allocation-free" `Quick
+            test_link_enqueue_allocation_free;
         ] );
       ( "transport",
         [

@@ -704,6 +704,119 @@ let test_selfheal_slow_flap_still_reconverges () =
     (Net.delivered_count net >= 50);
   Alcotest.(check int) "engine drained" 0 (Engine.pending engine)
 
+(* ---------- the data-plane window against the list-based original ---------- *)
+
+(* The detector's sampling and window as they were before the array
+   rewrite: a [List.for_all] per probe, a [List.filteri] per push and a
+   fold per ratio. *)
+let old_sample_direction rng links n =
+  match links with
+  | [] -> (n, n)
+  | _ ->
+    let ok = ref 0 in
+    for _ = 1 to n do
+      if List.for_all (fun l -> Link.probe l rng) links then incr ok
+    done;
+    (!ok, n)
+
+let old_push_sample window samples s =
+  List.filteri (fun i _ -> i < window - 1) samples |> List.cons s
+
+let old_ratio samples =
+  let delivered, offered =
+    List.fold_left (fun (d, o) (s, n) -> (d + s, o + n)) (0, 0) samples
+  in
+  if offered = 0 then 1.0 else float_of_int delivered /. float_of_int offered
+
+(* A link's fault state: up, loss and gray-loss probabilities. *)
+let fault_state_gen =
+  QCheck2.Gen.(
+    triple (frequency [ (4, pure true); (1, pure false) ])
+      (oneofl [ 0.0; 0.0; 0.3; 1.0 ]) (oneofl [ 0.0; 0.0; 0.5; 0.9 ]))
+
+let window_case_gen =
+  QCheck2.Gen.(
+    let* window = int_range 1 6 and* probes = int_range 1 6 in
+    let* n_uv = int_range 0 3 and* n_vu = int_range 0 3 in
+    let* seed = int_bound 10_000 in
+    (* per step, a fresh fault state for every link, uv links first *)
+    let* steps =
+      list_size (int_range 1 30) (list_repeat (n_uv + n_vu) fault_state_gen)
+    in
+    return (window, probes, n_uv, n_vu, seed, steps))
+
+let print_window_case (window, probes, n_uv, n_vu, seed, steps) =
+  Printf.sprintf "window=%d probes=%d uv=%d vu=%d seed=%d steps=[%s]" window
+    probes n_uv n_vu seed
+    (String.concat " | "
+       (List.map
+          (fun st ->
+            String.concat ","
+              (List.map (fun (up, l, g) -> Printf.sprintf "%b/%g/%g" up l g) st))
+          steps))
+
+let qcheck_window_matches_lists =
+  QCheck2.Test.make ~name:"array window matches the list window" ~count:500
+    ~print:print_window_case window_case_gen
+    (fun (window, probes, n_uv, n_vu, seed, steps) ->
+      let mk () =
+        let l = Link.make ~latency:0.001 ~bandwidth_bps:1e6 () in
+        Link.set_fault_rng l (Rng.create 0);
+        l
+      in
+      let uv = List.init n_uv (fun _ -> mk ()) in
+      let vu = List.init n_vu (fun _ -> mk ()) in
+      let uv_a = Array.of_list uv and vu_a = Array.of_list vu in
+      let old_rng = Rng.create seed and new_rng = Rng.create seed in
+      let win = Selfheal.Window.create ~window in
+      let uv_s = ref [] and vu_s = ref [] in
+      let step states =
+        List.iter2
+          (fun l (up, loss, gray) ->
+            Link.set_up l up;
+            Link.set_loss_prob l loss;
+            Link.set_gray_loss_prob l gray)
+          (uv @ vu) states;
+        let ouv = old_sample_direction old_rng uv probes in
+        let ovu = old_sample_direction old_rng vu probes in
+        uv_s := old_push_sample window !uv_s ouv;
+        vu_s := old_push_sample window !vu_s ovu;
+        let nuv = Selfheal.Window.sample new_rng uv_a probes in
+        let nvu = Selfheal.Window.sample new_rng vu_a probes in
+        Selfheal.Window.push win ~uv:nuv ~vu:nvu;
+        fst ouv = nuv && fst ovu = nvu
+        && Float.equal
+             (Float.min (old_ratio !uv_s) (old_ratio !vu_s))
+             (Selfheal.Window.worst win ~probes)
+      in
+      List.for_all step steps && Rng.bits old_rng = Rng.bits new_rng)
+
+(* With transit probes off and no traffic, a data-plane tick's work is
+   sampling every adjacency, which allocates nothing: the words per
+   tick must not grow with the ring. *)
+let test_dp_tick_allocation_flat () =
+  let words_per_tick n =
+    let net =
+      Net.create
+        (Topology.to_links (Topology.ring n))
+        (fun ~node:_ ~target:_ _ -> None)
+    in
+    let engine = Engine.create () in
+    let config =
+      { Selfheal.verified_config with
+        Selfheal.data_plane =
+          Some { Selfheal.default_data_plane with Selfheal.transit_probes = false } }
+    in
+    ignore (Selfheal.attach ~config ~until:10.0 engine net);
+    Engine.run ~until:1.0 engine;
+    let words = Alloc.minor_words (fun () -> Engine.run ~until:9.0 engine) in
+    words /. (8.0 /. Selfheal.default_data_plane.Selfheal.probe_interval)
+  in
+  let small = words_per_tick 6 and large = words_per_tick 24 in
+  if large > small then
+    Alcotest.failf "%.1f words per tick on a 24-ring, %.1f on a 6-ring" large
+      small
+
 let () =
   Alcotest.run "routing"
     [
@@ -773,5 +886,8 @@ let () =
             test_selfheal_damping_suppresses_flap_churn;
           Alcotest.test_case "slow flap still reconverges" `Quick
             test_selfheal_slow_flap_still_reconverges;
+          QCheck_alcotest.to_alcotest qcheck_window_matches_lists;
+          Alcotest.test_case "data-plane tick allocation flat" `Quick
+            test_dp_tick_allocation_flat;
         ] );
     ]
